@@ -14,12 +14,10 @@ partial artifact.  Two runs with the same config produce byte-identical
 artifacts; wall-clock timings are deliberately kept out of them.
 
 Exit codes: 0 when every requested predicate passes, 1 when some
-predicate fails, 2 on bad input (unreadable file, unparsable token),
-3 when a precondition of the requested computation is violated.  Errors
-are reported as one JSON object on stderr.
-
-The only environment variable read is PW_THREADS (a positive integer,
-recorded in the artifact; all computations here are single-process).
+predicate fails, 2 on bad input (unreadable file, unwritable --out
+path, unparsable token), 3 when a precondition of the requested
+computation is violated.  Errors are reported as one JSON object on
+stderr.
 """
 
 import argparse
@@ -98,20 +96,12 @@ def _emit(args, doc: dict, text_lines) -> None:
     else:
         body = _render_json(doc)
     if args.out:
-        _atomic_write(args.out, body)
+        try:
+            _atomic_write(args.out, body)
+        except OSError as exc:
+            raise _InputError("cannot write %s: %s" % (args.out, exc))
     else:
         sys.stdout.write(body)
-
-
-def _threads() -> int:
-    raw = os.environ.get("PW_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _InputError("PW_THREADS must be a positive integer, got %r" % raw)
-    if value < 1:
-        raise _InputError("PW_THREADS must be a positive integer, got %r" % raw)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,6 @@ def _cmd_verify(args) -> int:
             "mu": args.mu,
             "p_file": args.p_file,
             "require": sorted(required),
-            "threads": _threads(),
         },
         "candidate": {"note": cand.note, "tensor": tensor_to_json(cand.tensor)},
         "report": report.to_json(),
@@ -242,7 +231,6 @@ def _cmd_decompose(args) -> int:
             "lambda": args.lam,
             "mu": args.mu,
             "p_file": args.p_file,
-            "threads": _threads(),
         },
         "candidate": {"note": cand.note, "tensor": tensor_to_json(cand.tensor)},
         "decomposition": decomposition,
@@ -288,7 +276,6 @@ def _cmd_search(args) -> int:
             "seed": args.seed,
             "degree_cap": args.degree_cap,
             "step_cap": args.step_cap,
-            "threads": _threads(),
         },
         "outcome": outcome.to_json(),
         "passed": passed,
@@ -350,7 +337,7 @@ def _cmd_uq(args) -> int:
     doc = {
         "command": "uq",
         "version": __version__,
-        "config": {"n": args.n, "check": sorted(names), "threads": _threads()},
+        "config": {"n": args.n, "check": sorted(names)},
         "element": c_q(args.n).to_json(),
         "checks": results,
         "passed": passed,

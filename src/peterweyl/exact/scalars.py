@@ -140,13 +140,6 @@ def _pxgcd(a, b):
     return r0, u0, w0
 
 
-def _peval(cs, x):
-    out = _F0 if isinstance(x, Fraction) else 0 * x
-    for c in reversed(cs):
-        out = out * x + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials Phi_n (integer coefficients, computed by division)
 # ---------------------------------------------------------------------------

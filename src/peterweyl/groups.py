@@ -5,6 +5,13 @@ A Group stores its complete multiplication table over element indices
 dihedral, cyclic, products) are realized explicitly and then flattened to
 tables, so everything downstream is table-only and family-agnostic.
 
+Every group carries one generating set, ``gens``: the listed generators of
+a family, or for a custom table the elements picked greedily (each one the
+first element not yet reached).  Every check that needs to hold on all of G
+runs over that set only.  Associativity is Light's test, (a s) b = a (s b)
+for all a, b and each generator s: the elements s passing it are closed
+under products, so a generating set that passes proves the whole table.
+
 Display names come from shortest generator words found by breadth-first
 search, with runs compressed (x*x*x prints as x^3).
 """
@@ -12,7 +19,6 @@ search, with runs compressed (x*x*x prints as x^3).
 from __future__ import annotations
 
 import json
-import random
 from collections import deque
 
 from .errors import InternalError, PreconditionError
@@ -50,7 +56,7 @@ class GroupElement:
         return same_group(self.group, other.group) and self.index == other.index
 
     def __hash__(self):
-        return hash((id(self.group), self.index))
+        return hash((self.group.key, self.index))
 
     def __repr__(self):
         return self.group.elements[self.index]
@@ -60,7 +66,7 @@ class Group:
     """A finite group as an immutable multiplication table."""
 
     __slots__ = ("name", "order", "table", "inv", "elements", "generators",
-                 "descriptor", "_classes")
+                 "gens", "descriptor", "key", "_classes")
 
     def __init__(self, name: str, table, element_names=None, generators=(),
                  descriptor=None):
@@ -75,9 +81,10 @@ class Group:
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "descriptor",
-                           descriptor if descriptor is not None
-                           else {"kind": "table", "table": [list(r) for r in table]})
+        if descriptor is None:
+            descriptor = {"kind": "table", "table": [list(r) for r in table]}
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "key", _descriptor_key(descriptor))
         object.__setattr__(self, "_classes", None)
         self._check_axioms()
         inv = [None] * n
@@ -104,16 +111,37 @@ class Group:
                 raise PreconditionError("index 0 is not an identity")
             if len(set(t[i])) != n or len({t[j][i] for j in range(n)}) != n:
                 raise PreconditionError("table is not a latin square")
-        if n <= 24:
-            triples = ((a, b, c) for a in range(n) for b in range(n)
-                       for c in range(n))
+        if self.generators:
+            gens = tuple(gi for gi, _ in self.generators)
+            if len(self._reached(gens)) != n:
+                raise PreconditionError("listed generators do not generate")
         else:
-            rng = random.Random(1729)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(4000))
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise PreconditionError("table is not associative")
+            gens = ()
+            reached = {0}
+            for x in range(n):
+                if x not in reached:
+                    gens += (x,)
+                    reached = self._reached(gens)
+        object.__setattr__(self, "gens", gens)
+        for s in gens:
+            row_s = t[s]
+            for a in range(n):
+                row_a = t[a]
+                if t[row_a[s]] != tuple(row_a[y] for y in row_s):
+                    raise PreconditionError("table is not associative")
+
+    def _reached(self, gens):
+        """Elements e s1 s2 ... sk, every word in gens multiplied left to right."""
+        reached = {0}
+        queue = deque([0])
+        while queue:
+            cur = self.table[queue.popleft()]
+            for gi in gens:
+                nxt = cur[gi]
+                if nxt not in reached:
+                    reached.add(nxt)
+                    queue.append(nxt)
+        return reached
 
     def _names_from_words(self):
         n = self.order
@@ -130,8 +158,6 @@ class Group:
                 if nxt not in words:
                     words[nxt] = words[cur] + [gname]
                     queue.append(nxt)
-        if len(words) != n:
-            raise PreconditionError("listed generators do not generate")
         for i, word in words.items():
             if i == 0:
                 continue
@@ -200,8 +226,13 @@ class Group:
         return "Group(%s, order=%d)" % (self.name, self.order)
 
 
+def _descriptor_key(descriptor: dict) -> str:
+    """Canonical JSON of a descriptor: equal groups have equal keys."""
+    return json.dumps(descriptor, sort_keys=True)
+
+
 def same_group(a: Group, b: Group) -> bool:
-    return a is b or a.descriptor == b.descriptor
+    return a is b or a.key == b.key
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +240,7 @@ def same_group(a: Group, b: Group) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cached(descriptor: dict, build):
-    key = json.dumps(descriptor, sort_keys=True)
+    key = _descriptor_key(descriptor)
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = build()
     return _GROUP_CACHE[key]

@@ -127,7 +127,7 @@ class AlgebraElement:
         return same_group(self.group, other.group) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.group), tuple(sorted(self.terms.items(),
+        return hash((self.group.key, tuple(sorted(self.terms.items(),
                                                   key=lambda kv: kv[0]))))
 
     def __bool__(self):
@@ -247,7 +247,7 @@ class TensorElement:
                 and self.arity == other.arity and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.group), self.arity,
+        return hash((self.group.key, self.arity,
                      tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
@@ -478,7 +478,7 @@ class Functional:
                 and all(a == b for a, b in zip(self.values, other.values)))
 
     def __hash__(self):
-        return hash((id(self.group), self.values))
+        return hash((self.group.key, self.values))
 
     def __bool__(self):
         return any(self.values)
@@ -512,74 +512,45 @@ def pair(xi: Functional, x: AlgebraElement):
 ACTIONS = ("ad", "ad_star", "diamond", "left", "right")
 
 
-def _act_basis_algebra(action: str, g: int, b: AlgebraElement) -> AlgebraElement:
-    grp = b.group
-    table, inv = grp.table, grp.inv
+def _index_map(action: str, g: int, group: Group):
+    """Where each basis element i of kG goes under the action of g."""
+    table, inv, n = group.table, group.inv, group.order
     if action == "ad":
-        f = lambda i: table[table[g][i]][inv[g]]
-    elif action == "ad_star":
-        f = lambda i: table[table[inv[g]][i]][g]
-    elif action == "diamond":
+        return [table[table[g][i]][inv[g]] for i in range(n)]
+    if action == "ad_star":
+        return [table[table[inv[g]][i]][g] for i in range(n)]
+    if action == "diamond":
         # S^2(g) b S(g), computed through the antipode
         s2, s1 = inv[inv[g]], inv[g]
-        f = lambda i: table[table[s2][i]][s1]
-    elif action == "left":
-        f = lambda i: table[g][i]
-    elif action == "right":
-        f = lambda i: table[i][g]
-    else:
-        raise PreconditionError("unknown action %r" % action)
-    out = {}
-    for i, c in b.terms.items():
-        j = f(i)
-        out[j] = out.get(j, 0) + c
-    return AlgebraElement(grp, out)
+        return [table[table[s2][i]][s1] for i in range(n)]
+    if action == "left":
+        return table[g]
+    if action == "right":
+        return [table[i][g] for i in range(n)]
+    raise PreconditionError("unknown action %r" % action)
 
 
-def _act_basis_tensor(action: str, g: int, b: TensorElement) -> TensorElement:
+def _act_basis(action: str, g: int, b):
+    """The action of the basis element g on b."""
     grp = b.group
-    table, inv = grp.table, grp.inv
-    if action == "ad":
-        f = lambda i: table[table[g][i]][inv[g]]
-    elif action == "ad_star":
-        f = lambda i: table[table[inv[g]][i]][g]
-    elif action == "diamond":
-        s2, s1 = inv[inv[g]], inv[g]
-        f = lambda i: table[table[s2][i]][s1]
-    elif action == "left":
-        f = lambda i: table[g][i]
-    elif action == "right":
-        f = lambda i: table[i][g]
-    else:
-        raise PreconditionError("unknown action %r" % action)
+    if isinstance(b, Functional):
+        # (g . f)(x) = f(x'): the regular actions trade sides, and the
+        # conjugation-type actions transpose to the action of S(g)
+        if action in ("left", "right"):
+            f = _index_map("right" if action == "left" else "left", g, grp)
+        else:
+            f = _index_map(action, grp.inv[g], grp)
+        return Functional(grp, [b.values[j] for j in f])
+    f = _index_map(action, g, grp)
     out = {}
+    if isinstance(b, AlgebraElement):
+        for i, c in b.terms.items():
+            out[f[i]] = out.get(f[i], 0) + c
+        return AlgebraElement(grp, out)
     for k, c in b.terms.items():
-        key = tuple(f(i) for i in k)
+        key = tuple(f[i] for i in k)
         out[key] = out.get(key, 0) + c
     return TensorElement(grp, b.arity, out)
-
-
-def _act_basis_functional(action: str, g: int, b: Functional) -> Functional:
-    grp = b.group
-    table, inv = grp.table, grp.inv
-    vals = b.values
-    if action == "left":
-        # (g . f)(b) = f(b g)
-        new = [vals[table[i][g]] for i in range(grp.order)]
-    elif action == "right":
-        # (g . f)(b) = f(g b)
-        new = [vals[table[g][i]] for i in range(grp.order)]
-    elif action == "diamond":
-        # S^2(g) acting left after S(g) acting right: f(S(g) b S^2(g))
-        s2, s1 = inv[inv[g]], inv[g]
-        new = [vals[table[table[s1][i]][s2]] for i in range(grp.order)]
-    elif action == "ad":
-        new = [vals[table[table[inv[g]][i]][g]] for i in range(grp.order)]
-    elif action == "ad_star":
-        new = [vals[table[table[g][i]][inv[g]]] for i in range(grp.order)]
-    else:
-        raise PreconditionError("unknown action %r" % action)
-    return Functional(grp, new)
 
 
 def act(action: str, h, b):
@@ -589,27 +560,18 @@ def act(action: str, h, b):
                                 % (action, ", ".join(ACTIONS)))
     h = AlgebraElement.of(h)
     if isinstance(b, AlgebraElement):
-        if not same_group(h.group, b.group):
-            raise PreconditionError("action across different groups")
         out = AlgebraElement.zero(b.group)
-        for g, c in h.terms.items():
-            out = out + _act_basis_algebra(action, g, b) * c
-        return out
-    if isinstance(b, TensorElement):
-        if not same_group(h.group, b.group):
-            raise PreconditionError("action across different groups")
+    elif isinstance(b, TensorElement):
         out = TensorElement(b.group, b.arity)
-        for g, c in h.terms.items():
-            out = out + _act_basis_tensor(action, g, b) * c
-        return out
-    if isinstance(b, Functional):
-        if not same_group(h.group, b.group):
-            raise PreconditionError("action across different groups")
+    elif isinstance(b, Functional):
         out = Functional.zero(b.group)
-        for g, c in h.terms.items():
-            out = out + _act_basis_functional(action, g, b) * c
-        return out
-    raise PreconditionError("cannot act on %r" % (b,))
+    else:
+        raise PreconditionError("cannot act on %r" % (b,))
+    if not same_group(h.group, b.group):
+        raise PreconditionError("action across different groups")
+    for g, c in h.terms.items():
+        out = out + _act_basis(action, g, b) * c
+    return out
 
 
 def orbit_sum(x: TensorElement) -> TensorElement:
@@ -679,20 +641,18 @@ def action_invariant_subspace(g: Group, action: str,
     """
     if target not in ("algebra", "dual"):
         raise PreconditionError("unknown target %r" % target)
+    if action not in ACTIONS:
+        raise PreconditionError("unknown action %r" % action)
     n = g.order
-    gens = [gi for gi, _ in g.generators] or list(range(n))
     rows = []
-    for gi in gens:
+    for gi in g.gens:
         m = [[_F0] * n for _ in range(n)]
         for bi in range(n):
             if target == "algebra":
-                image = _act_basis_algebra(action, gi,
-                                           AlgebraElement.basis(g, bi))
-                col = image.to_vector()
+                col = _act_basis(action, gi,
+                                 AlgebraElement.basis(g, bi)).to_vector()
             else:
-                image = _act_basis_functional(action, gi,
-                                              Functional.delta(g, bi))
-                col = list(image.values)
+                col = _act_basis(action, gi, Functional.delta(g, bi)).values
             for r in range(n):
                 m[r][bi] = col[r]
         for r in range(n):

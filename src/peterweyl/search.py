@@ -2,9 +2,10 @@
 
 Tensors commuting with every g (x) g form a linear space with a canonical
 basis of diagonal-conjugation orbit sums; its dimension is counted twice
-(orbit enumeration and linear kernel) and the counts must agree.  On that
-coordinate space the character-multiplicativity requirement becomes a
-finite system of quadratic equations, assembled once per group.
+(orbit enumeration, and union-find components of the conditions for the
+generators) and the counts must agree.  On that coordinate space the
+character-multiplicativity requirement becomes a finite system of
+quadratic equations, assembled once per group.
 
 Three search strategies share one outcome type:
 
@@ -34,7 +35,6 @@ from .errors import (
     StrategyError,
     VariantError,
 )
-from .exact.linalg import solve_linear
 from .exact.polysys import Poly, PolySystem, buchberger
 from .groups import Group, diagonal_conjugation_orbits, same_group
 from .hopf import AlgebraElement, Functional, TensorElement, convolve, tensor
@@ -104,34 +104,37 @@ _A_BASIS_CACHE: dict = {}
 
 
 def _kernel_dimension(group: Group) -> int:
-    """Dimension of the g (x) g commutant by plain linear algebra."""
+    """Dimension of the g (x) g commutant, as a count of graph components.
+
+    Commuting with s (x) s equates the coefficients of (a, b) and of
+    (s a s^-1, s b s^-1).  Each such condition is an incidence row, so over
+    the generators the kernel dimension is the number of connected
+    components of those edges on G x G, counted here by union-find.
+    """
     n = group.order
-    mul = group.mul
-    gens = [gi for gi, _ in group.generators] or list(range(n))
-    rows = []
-    for gi in gens:
-        acc = {}
+    parent = list(range(n * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n * n
+    for s in group.gens:
+        conj = [group.conjugate(s, a) for a in range(n)]
         for a in range(n):
+            base = conj[a] * n
             for b in range(n):
-                col = a * n + b
-                acc.setdefault((mul(a, gi), mul(b, gi)), {})[col] = _F1
-                tgt = acc.setdefault((mul(gi, a), mul(gi, b)), {})
-                tgt[col] = tgt.get(col, _F0) - _F1
-        for entries in acc.values():
-            row = [_F0] * (n * n)
-            nonzero = False
-            for col, v in entries.items():
-                row[col] = v
-                nonzero = nonzero or v != 0
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return n * n
-    return len(solve_linear(rows, [_F0] * len(rows)).nullspace)
+                x, y = find(a * n + b), find(base + conj[b])
+                if x != y:
+                    parent[x] = y
+                    components -= 1
+    return components
 
 
 def a_basis(group: Group) -> ABasis:
-    """Orbit-sum basis, cross-counted against the linear kernel."""
+    """Orbit-sum basis, cross-counted against the commutant dimension."""
     key = repr(group.descriptor)
     cached = _A_BASIS_CACHE.get(key)
     if cached is not None:

@@ -127,10 +127,6 @@ def phi_rank(p) -> int:
 # admissibility (three equivalent slotwise conditions)
 # ---------------------------------------------------------------------------
 
-def _gen_indices(g: Group):
-    return [gi for gi, _ in g.generators]
-
-
 def _map_slots(t: TensorElement, f1, f2) -> TensorElement:
     out: dict = {}
     for (a, b), c in t.terms.items():
@@ -153,7 +149,7 @@ def in_a_conditions(p):
     ok_product = True
     ok_translation = True
     ok_adjoint = True
-    for gi in _gen_indices(grp):
+    for gi in grp.gens:
         gg = tensor(AlgebraElement.basis(grp, gi),
                     AlgebraElement.basis(grp, gi))
         if t * gg != gg * t:
@@ -187,7 +183,7 @@ def equivariance_check(p) -> bool:
         raise PreconditionError("equivariance requires an admissible tensor")
     t = _tensor_of(p)
     grp = t.group
-    for gi in _gen_indices(grp):
+    for gi in grp.gens:
         h = AlgebraElement.basis(grp, gi)
         for i in range(grp.order):
             xi = Functional.delta(grp, i)
@@ -203,7 +199,7 @@ def center_image_check(p) -> bool:
             "the center-image property requires an admissible tensor")
     t = _tensor_of(p)
     grp = t.group
-    gens = [AlgebraElement.basis(grp, gi) for gi in _gen_indices(grp)]
+    gens = [AlgebraElement.basis(grp, gi) for gi in grp.gens]
     for cls in grp.conjugacy_classes():
         ind = Functional(grp, [_F1 if i in cls else _F0
                                for i in range(grp.order)])
@@ -259,7 +255,7 @@ def in_m0(p) -> bool:
     simples = irreps(grp)
     if len(simples) != len(grp.conjugacy_classes()):
         raise InternalError("character count must match class count")
-    gens = [AlgebraElement.basis(grp, gi) for gi in _gen_indices(grp)]
+    gens = [AlgebraElement.basis(grp, gi) for gi in grp.gens]
     zs = [z(v) for v in simples]
     imgs = [phi(t, zi) for zi in zs]
     for img in imgs:
@@ -386,7 +382,7 @@ def r_failures(rplus: TensorElement, rminus: TensorElement):
             != embed(rplus, 3, (0, 2)) * embed(rplus, 3, (0, 1)):
         fails.append("coproduct on second slot of Rplus")
     prod = permute_slots(rplus, (1, 0)) * rminus
-    for gi in _gen_indices(grp):
+    for gi in grp.gens:
         gg = tensor(AlgebraElement.basis(grp, gi),
                     AlgebraElement.basis(grp, gi))
         if prod * gg != gg * prod:
@@ -403,7 +399,7 @@ def grouplike_check(g: AlgebraElement) -> bool:
     """Group-like with g S^2(h) = h g; for group algebras: central basis g."""
     if g.delta() != tensor(g, g) or g.counit() != 1:
         return False
-    for gi in _gen_indices(g.group):
+    for gi in g.group.gens:
         h = AlgebraElement.basis(g.group, gi)
         if g * h != h * g:
             return False

@@ -605,7 +605,7 @@ def transferred_coefficient(n: int, i: int, j: int) -> UqElement:
     """
     mod = module(n)
     theta_exp = theta(n)
-    if not 0 <= i <= n and 0 <= j <= n:
+    if not (0 <= i <= n and 0 <= j <= n):
         raise PreconditionError("basis indices out of range")
     mi, mj = mod.weights[i], mod.weights[j]
     if (mi + mj) % 2:

@@ -226,18 +226,13 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert json.loads(err)["error"]["kind"] in ("input", "parse")
 
 
-def test_bad_thread_count_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("PW_THREADS", "zero")
-    assert main(["uq", "center", "--n", "0", "--format", "text"]) == 2
-    capsys.readouterr()
-
-
-def test_thread_count_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("PW_THREADS", "4")
-    out = tmp_path / "v.json"
-    assert main(["verify", "--group", "S3", "--family", "s3",
-                 "--lambda", "1", "--mu", "1", "--out", str(out)]) == 0
-    assert _read(out)["config"]["threads"] == 4
+def test_out_into_a_missing_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "v.json"
+    assert main(["uq", "center", "--n", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["kind"] == "input"
+    assert not out.parent.exists()
 
 
 def test_version_flag():

@@ -16,6 +16,8 @@ from peterweyl.groups import (
     same_group,
     symmetric,
 )
+from peterweyl.hopf import AlgebraElement, Functional, TensorElement
+from peterweyl.reps import K0Element, trivial_rep
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,41 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises(PreconditionError):
         Group("loop", loop)
+
+
+def test_large_non_associative_table_rejected():
+    # Z120 with the intercalate at rows 21, 81 and columns 13, 73 swapped:
+    # still a latin square with identity 0, but no longer associative
+    n = 120
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for r in (21, 81):
+        table[r][13], table[r][73] = table[r][73], table[r][13]
+    with pytest.raises(PreconditionError):
+        Group("swapped", table)
+
+
+def test_custom_table_generating_set_is_greedy():
+    klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    assert from_descriptor({"kind": "table", "table": klein}).gens == (1, 2)
+    assert symmetric(3).gens == tuple(gi for gi, _ in symmetric(3).generators)
+    assert cyclic(1).gens == ()
+
+
+def test_equal_loads_hash_equal():
+    desc = {"kind": "table", "table": [list(r) for r in symmetric(3).table]}
+    a, b = from_descriptor(desc), from_descriptor(desc)
+    assert a is not b and same_group(a, b)
+    pairs = [
+        (a.element(1), b.element(1)),
+        (AlgebraElement.basis(a, 1), AlgebraElement.basis(b, 1)),
+        (TensorElement(a, 2, {(0, 1): 1}), TensorElement(b, 2, {(0, 1): 1})),
+        (Functional.delta(a, 1), Functional.delta(b, 1)),
+        (trivial_rep(a), trivial_rep(b)),
+        (K0Element(a, {"triv": 1}), K0Element(b, {"triv": 1})),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert len({x, y}) == 1
 
 
 def test_group_elements_api():

@@ -422,7 +422,7 @@ def test_pair_reads_off_coefficients():
 # invariant subspaces
 # ---------------------------------------------------------------------------
 
-INV_TEST_GROUPS = (S3, D4, V4, cyclic(5))
+INV_TEST_GROUPS = (S3, D4, V4, cyclic(5), cyclic(1), symmetric(1))
 
 
 def test_center_equals_all_invariant_routes():

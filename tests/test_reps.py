@@ -226,10 +226,14 @@ def test_natural_permutation_module_of_s3():
 
 
 def test_schur_orthogonality_of_homs():
-    reps = irreps(symmetric(3))
-    for v in reps:
-        for w in reps:
-            assert hom_dim(v, w) == (1 if v.label == w.label else 0)
+    # Z1 and S1 have an empty generating set: every map intertwines
+    for grp in (symmetric(3), cyclic(1), symmetric(1)):
+        reps = irreps(grp)
+        for v in reps:
+            for w in reps:
+                assert hom_dim(v, w) == (1 if v.label == w.label else 0)
+    triv = irreps(cyclic(1))[0]
+    assert hom_dim(triv.direct_sum(triv), triv) == 2
 
 
 def test_end_dim_of_double_standard():

@@ -49,6 +49,7 @@ def test_basis_sizes_match_hand_counts():
     assert len(a_basis(dihedral(4))) == 28
     assert len(a_basis(parse_group("Z2xZ2"))) == 16
     assert len(a_basis(cyclic(1))) == 1
+    assert len(a_basis(symmetric(1))) == 1
     # abelian groups: conjugation is trivial, so all of G x G survives
     assert len(a_basis(cyclic(5))) == 25
 

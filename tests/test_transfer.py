@@ -22,7 +22,13 @@ from peterweyl.errors import (
 )
 from peterweyl.exact.linalg import Infeasible, Subspace
 from peterweyl.exact.scalars import Cyclotomic
-from peterweyl.groups import cyclic, dihedral, parse_group, symmetric
+from peterweyl.groups import (
+    cyclic,
+    dihedral,
+    from_descriptor,
+    parse_group,
+    symmetric,
+)
 from peterweyl.hopf import (
     AlgebraElement,
     Functional,
@@ -176,6 +182,23 @@ def test_admissibility_matches_the_all_elements_centralizer():
 
 def test_perturbed_family_member_is_not_admissible():
     assert not in_a(perturbed_family_point())
+
+
+def test_custom_table_copy_agrees_with_the_family():
+    # a table descriptor lists no generators; its generating set is chosen
+    # from the table, so the generator-based predicates still see all of G
+    grp = symmetric(3)
+    copy = from_descriptor({"kind": "table",
+                            "table": [list(row) for row in grp.table]})
+    s1 = grp.generators[0][0]
+    for t in (tensor(AlgebraElement.one(grp), AlgebraElement.basis(grp, s1)),
+              s3_family(F(1), F(1)).tensor):
+        twin = TensorElement(copy, 2, t.terms)
+        assert in_a_conditions(twin) == in_a_conditions(t)
+        admissible = in_a(t)
+        assert in_a(twin) == admissible
+        if admissible:
+            assert center_image_check(twin) == center_image_check(t)
 
 
 def test_admissible_transfer_is_equivariant():

@@ -374,6 +374,12 @@ def test_transferred_corner_is_a_unit_k_power():
         assert corner == UqElement.monomial(0, n, 0, qpow(-n))
 
 
+def test_transferred_coefficient_rejects_indices_out_of_range():
+    for i, j in ((0, 5), (5, 0), (-1, 0), (0, -1)):
+        with pytest.raises(PreconditionError):
+            transferred_coefficient(1, i, j)
+
+
 def test_joseph_component_check():
     for n in range(4):
         report = joseph_component_check(n)
