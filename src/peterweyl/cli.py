@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ParseError, PeterWeylError, PreconditionError
+from .exact.linalg import Infeasible, solve_linear
 from .exact.scalars import Cyclotomic, RatFun, scalar_from_str, scalar_to_str
 from .groups import parse_group, same_group
 from .hopf import tensor_from_json, tensor_to_json
@@ -309,10 +310,8 @@ def _uq_run_checks(n: int, names) -> dict:
             zero = RatFun.of(0)
             rows = [[x.terms.get(key, zero) for x in basis] for key in keys]
             rhs = [cn.terms.get(key, zero) for key in keys]
-            from .exact.linalg import solve_linear
-
-            results[name] = hasattr(
-                solve_linear(rows, rhs, want_nullspace=False), "particular")
+            results[name] = not isinstance(
+                solve_linear(rows, rhs, want_nullspace=False), Infeasible)
         elif name == "component":
             report = joseph_component_check(n)
             results[name] = bool(

@@ -10,7 +10,15 @@ from .scalars import (
     unify,
     variant_name,
 )
-from .linalg import Infeasible, LinearSolution, Matrix, Subspace, rref, solve_linear
+from .linalg import (
+    Infeasible,
+    LinearSolution,
+    Matrix,
+    Subspace,
+    nullspace,
+    rref,
+    solve_linear,
+)
 from .polysys import Poly, PolySystem, buchberger
 
 __all__ = [
@@ -26,6 +34,7 @@ __all__ = [
     "LinearSolution",
     "Matrix",
     "Subspace",
+    "nullspace",
     "rref",
     "solve_linear",
     "Poly",

@@ -281,6 +281,21 @@ def solve_linear(A, b, want_nullspace: bool = True):
     return _solve_exact(rows, b, want_nullspace)
 
 
+def nullspace(rows, ncols: int):
+    """Canonical basis of {x : A x = 0} for the rows of A over ncols unknowns.
+
+    With no rows every vector is a solution, so the basis is the standard
+    one; otherwise it is the nullspace basis of ``solve_linear``.
+    """
+    rows = list(rows)
+    if any(len(r) != ncols for r in rows):
+        raise DimensionError("row length != column count")
+    if not rows:
+        return tuple(tuple(_F1 if j == i else _F0 for j in range(ncols))
+                     for i in range(ncols))
+    return solve_linear(rows, [_F0] * len(rows)).nullspace
+
+
 def _solve_exact(rows, b, want_nullspace):
     m = len(rows)
     n = len(rows[0])

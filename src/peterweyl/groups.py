@@ -306,6 +306,15 @@ def cyclic(n: int) -> Group:
     return _cached({"kind": "cyclic", "n": n}, build)
 
 
+def _named_gens(g: Group):
+    """(index, name) for each element of g.gens.
+
+    A family lists its named generators; a custom table names its greedy
+    generators by their display names.
+    """
+    return g.generators or tuple((gi, g.elements[gi]) for gi in g.gens)
+
+
 def product(g: Group, h: Group) -> Group:
     """Direct product; element (a, b) has index a*|H| + b."""
     if g.order * h.order > 120:
@@ -319,9 +328,9 @@ def product(g: Group, h: Group) -> Group:
         table = [[g.table[a1][a2] * nh + h.table[b1][b2]
                   for a2 in range(g.order) for b2 in range(nh)]
                  for a1 in range(g.order) for b1 in range(nh)]
-        used = {name for _, name in g.generators}
-        gens = [(gi * nh, name) for gi, name in g.generators]
-        for hi, name in h.generators:
+        used = {name for _, name in _named_gens(g)}
+        gens = [(gi * nh, name) for gi, name in _named_gens(g)]
+        for hi, name in _named_gens(h):
             while name in used:
                 name = name + "'"
             used.add(name)

@@ -30,7 +30,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError
-from .exact.linalg import Subspace, solve_linear
+from .exact.linalg import Subspace, nullspace
 from .exact.scalars import as_scalar, scalar_from_str, scalar_to_str, unify
 from .groups import Group, GroupElement, from_descriptor, same_group
 
@@ -591,14 +591,6 @@ def orbit_sum(x: TensorElement) -> TensorElement:
 # invariant subspaces (several independently assembled linear systems)
 # ---------------------------------------------------------------------------
 
-def _nullspace_subspace(rows, n: int) -> Subspace:
-    if not rows:
-        return Subspace(n, [[_F1 if j == i else _F0 for j in range(n)]
-                            for i in range(n)])
-    res = solve_linear(rows, [_F0] * len(rows))
-    return Subspace(n, res.nullspace)
-
-
 def center_subspace(g: Group) -> Subspace:
     """{x : a x = x a for every group element a}, by left/right tables."""
     n = g.order
@@ -613,7 +605,7 @@ def center_subspace(g: Group) -> Subspace:
                     row[i] = row[i] - _F1
             if any(row):
                 rows.append(row)
-    return _nullspace_subspace(rows, n)
+    return Subspace(n, nullspace(rows, n))
 
 
 def conjugation_invariant_subspace(g: Group) -> Subspace:
@@ -628,7 +620,7 @@ def conjugation_invariant_subspace(g: Group) -> Subspace:
             row = [_F0] * n
             row[i], row[j] = _F1, -_F1
             rows.append(row)
-    return _nullspace_subspace(rows, n)
+    return Subspace(n, nullspace(rows, n))
 
 
 def action_invariant_subspace(g: Group, action: str,
@@ -658,7 +650,7 @@ def action_invariant_subspace(g: Group, action: str,
         for r in range(n):
             m[r][r] = m[r][r] - _F1
         rows.extend(r for r in m if any(r))
-    return _nullspace_subspace(rows, n)
+    return Subspace(n, nullspace(rows, n))
 
 
 def class_indicator_subspace(g: Group) -> Subspace:

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     RealizabilityError,
 )
-from .exact.linalg import Matrix, solve_linear
+from .exact.linalg import Matrix, nullspace
 from .exact.scalars import (
     Cyclotomic,
     VariantError,
@@ -446,13 +446,8 @@ def intertwiners(v: Rep, w: Rep):
                 for k in range(v.dim):
                     row[r * v.dim + k] = row[r * v.dim + k] - b.rows[k][c]
                 rows.append(row)
-    if rows:
-        basis = solve_linear(rows, [_F0] * len(rows)).nullspace
-    else:
-        # a trivial group: every linear map intertwines
-        basis = Matrix.identity(unknowns).rows
     out = []
-    for vec in basis:
+    for vec in nullspace(rows, unknowns):
         out.append(Matrix([[vec[r * v.dim + c] for c in range(v.dim)]
                            for r in range(w.dim)]))
     return out
@@ -582,7 +577,14 @@ def assert_split(v: Rep):
 # ---------------------------------------------------------------------------
 
 def cocycle_check(v: Rep, w: Rep, rho) -> bool:
-    """Does rho satisfy rho(gh) = rho(g) w(h) + v(g) rho(h) for all g, h?"""
+    """Does rho satisfy rho(gh) = rho(g) w(h) + v(g) rho(h) for all g, h?
+
+    Checked exactly as rho(e) = 0 and rho(gs) = rho(g) w(s) + v(g) rho(s)
+    for every g and every generator s.  These imply the identity for all
+    pairs by induction on the length of a generator word for h; rho(e) = 0
+    is the case h = e, and the only check left when there are no
+    generators.
+    """
     grp = v.group
     rho = tuple(rho)
     if len(rho) != grp.order:
@@ -590,10 +592,12 @@ def cocycle_check(v: Rep, w: Rep, rho) -> bool:
     for m in rho:
         if m.nrows != v.dim or m.ncols != w.dim:
             raise PreconditionError("cocycle matrices must map W to V")
+    if rho[grp.identity] != Matrix.zeros(v.dim, w.dim):
+        return False
     for g in range(grp.order):
-        for h in range(grp.order):
-            lhs = rho[grp.mul(g, h)]
-            rhs = rho[g] * w.matrices[h] + v.matrices[g] * rho[h]
+        for s in grp.gens:
+            lhs = rho[grp.mul(g, s)]
+            rhs = rho[g] * w.matrices[s] + v.matrices[g] * rho[s]
             if lhs != rhs:
                 return False
     return True

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact.polysys import Poly, PolySystem, buchberger
 from .groups import Group, diagonal_conjugation_orbits, same_group
-from .hopf import AlgebraElement, Functional, TensorElement, convolve, tensor
+from .hopf import AlgebraElement, TensorElement, convolve
 from .pw import z
 from .reps import irreps
 from .transfer import (
@@ -135,8 +135,7 @@ def _kernel_dimension(group: Group) -> int:
 
 def a_basis(group: Group) -> ABasis:
     """Orbit-sum basis, cross-counted against the commutant dimension."""
-    key = repr(group.descriptor)
-    cached = _A_BASIS_CACHE.get(key)
+    cached = _A_BASIS_CACHE.get(group.key)
     if cached is not None:
         return cached
     orbits = diagonal_conjugation_orbits(group)
@@ -152,7 +151,7 @@ def a_basis(group: Group) -> ABasis:
             "commutant dimension %d disagrees with orbit count %d"
             % (kernel_dim, len(orbits)))
     basis = ABasis(group, orbits, elements, names)
-    _A_BASIS_CACHE[key] = basis
+    _A_BASIS_CACHE[group.key] = basis
     return basis
 
 
@@ -161,10 +160,10 @@ def a_basis(group: Group) -> ABasis:
 # ---------------------------------------------------------------------------
 
 def _pair_tables(group: Group, basis: ABasis):
-    """Per irrep pair: image vectors of the basis under the three maps.
+    """Per irrep pair: images of the basis under the three maps.
 
     For the pair (V, W) multiplicativity of the transfer on characters
-    reads (sum x_k u_k) * (sum x_l w_l) = sum x_k L_k componentwise, with
+    reads (sum x_k u_k) * (sum x_l w_l) = sum x_k L_k in kG, with
     u_k = phi(B_k, z_V), w_k = phi(B_k, z_W), L_k = phi(B_k, z_V z_W).
     """
     simples = irreps(group)
@@ -174,91 +173,70 @@ def _pair_tables(group: Group, basis: ABasis):
         for w in simples[i:]:
             zw = z(w)
             zvw = convolve(zv, zw)
-            us = [phi(b, zv).to_vector() for b in basis.elements]
-            ws = [phi(b, zw).to_vector() for b in basis.elements]
-            ls = [phi(b, zvw).to_vector() for b in basis.elements]
+            us = [phi(b, zv) for b in basis.elements]
+            ws = [phi(b, zw) for b in basis.elements]
+            ls = [phi(b, zvw) for b in basis.elements]
             out.append((v.label, w.label, us, ws, ls))
     return out
 
 
+# group key -> (the assembled system, the pair tables it was read from)
 _CONSTRAINT_CACHE: dict = {}
 
 
 def assemble_constraints(group: Group) -> PolySystem:
-    """Quadratic equations for character multiplicativity in orbit coords."""
-    key = repr(group.descriptor)
-    cached = _CONSTRAINT_CACHE.get(key)
+    """Quadratic equations for character multiplicativity in orbit coords.
+
+    For each irrep pair and each group element g, the equation is the
+    g-coefficient of (sum x_k u_k)(sum x_l w_l) - sum x_k L_k; each product
+    u_k w_l is taken once and feeds the equations of all its terms.
+    """
+    cached = _CONSTRAINT_CACHE.get(group.key)
     if cached is not None:
-        return cached
+        return cached[0]
     basis = a_basis(group)
     d = len(basis)
     n = group.order
-    table = group.table
+    linear = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
+    quadratic = [[tuple(a + b for a, b in zip(mk, ml)) for ml in linear]
+                 for mk in linear]
+    pair_tables = _pair_tables(group, basis)
     polys = []
-    for _, _, us, ws, ls in _pair_tables(group, basis):
-        for g in range(n):
-            terms = {}
-            for k in range(d):
-                for l in range(d):
-                    acc = None
-                    for r in range(n):
-                        a = us[k][r]
-                        if not a:
-                            continue
-                        for s in range(n):
-                            if table[r][s] != g:
-                                continue
-                            b = ws[l][s]
-                            if b:
-                                p = a * b
-                                acc = p if acc is None else acc + p
-                    if acc is not None and acc != 0:
-                        mono = [0] * d
-                        mono[k] += 1
-                        mono[l] += 1
-                        mono = tuple(mono)
-                        terms[mono] = terms.get(mono, 0) + acc
-                lk = ls[k][g]
-                if lk:
-                    mono = tuple(1 if t == k else 0 for t in range(d))
-                    terms[mono] = terms.get(mono, 0) - lk
+    for _, _, us, ws, ls in pair_tables:
+        equations = [{} for _ in range(n)]
+        for k in range(d):
+            for l in range(d):
+                mono = quadratic[k][l]
+                for g, c in (us[k] * ws[l]).terms.items():
+                    terms = equations[g]
+                    terms[mono] = terms.get(mono, 0) + c
+            for g, c in ls[k].terms.items():
+                terms = equations[g]
+                terms[linear[k]] = terms.get(linear[k], 0) - c
+        for terms in equations:
             poly = Poly(d, terms)
             if poly:
                 polys.append(poly)
     system = PolySystem(basis.names, polys)
-    _CONSTRAINT_CACHE[key] = system
+    _CONSTRAINT_CACHE[group.key] = (system, pair_tables)
     return system
 
 
-def _violates_fast(point, pair_tables, table, order):
-    """Same equations as the assembled system, evaluated pairwise."""
+def _combination(coords, elements) -> AlgebraElement:
+    """sum x_k e_k for algebra elements e_k, skipping zero coordinates."""
+    out: dict = {}
+    for x, e in zip(coords, elements):
+        if x:
+            for i, c in e.terms.items():
+                out[i] = out.get(i, 0) + x * c
+    return AlgebraElement(elements[0].group, out)
+
+
+def _violates_fast(point, pair_tables) -> bool:
+    """Same equations as the assembled system, evaluated pairwise in kG."""
     for _, _, us, ws, ls in pair_tables:
-        u = [_F0] * order
-        w = [_F0] * order
-        lv = [_F0] * order
-        for k, x in enumerate(point):
-            if not x:
-                continue
-            uk, wk, lk = us[k], ws[k], ls[k]
-            for r in range(order):
-                if uk[r]:
-                    u[r] = u[r] + x * uk[r]
-                if wk[r]:
-                    w[r] = w[r] + x * wk[r]
-                if lk[r]:
-                    lv[r] = lv[r] + x * lk[r]
-        prod = [_F0] * order
-        for r in range(order):
-            a = u[r]
-            if not a:
-                continue
-            row = table[r]
-            for s in range(order):
-                b = w[s]
-                if b:
-                    t = row[s]
-                    prod[t] = prod[t] + a * b
-        if prod != lv:
+        if (_combination(point, us) * _combination(point, ws)
+                != _combination(point, ls)):
             return True
     return False
 
@@ -413,9 +391,8 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         _require(isinstance(seed, int), "the seed must be an integer")
         basis = a_basis(group)
         system = assemble_constraints(group)
-        pair_tables = _pair_tables(group, basis)
-        table = group.table
-        n = group.order
+        # cached by assemble_constraints next to the system built from it
+        pair_tables = _CONSTRAINT_CACHE[group.key][1]
         log = []
         candidates = []
         structured, slog = _structured_candidates(group)
@@ -433,7 +410,7 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         for _ in range(count):
             point = [Fraction(rng.randint(-20, 20), rng.randint(1, 20))
                      for _ in range(d)]
-            if _violates_fast(point, pair_tables, table, n):
+            if _violates_fast(point, pair_tables):
                 continue
             survivors += 1
             if not system.satisfied_by(point):

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .exact.linalg import Infeasible, Matrix, Subspace, solve_linear
 from .exact.scalars import Cyclotomic, as_scalar, scalar_to_str
-from .groups import Group, from_descriptor, same_group
+from .groups import Group, same_group
 from .hopf import (
     AlgebraElement,
     Functional,
@@ -214,11 +214,6 @@ def center_image_check(p) -> bool:
 # multiplicativity
 # ---------------------------------------------------------------------------
 
-def _image_vectors(t: TensorElement, subspace: Subspace):
-    grp = t.group
-    return [phi(t, Functional(grp, v)).to_vector() for v in subspace.basis]
-
-
 def in_m(p):
     """Pairwise multiplicativity on coefficient subspaces, with witnesses.
 
@@ -227,22 +222,21 @@ def in_m(p):
     """
     t = _tensor_of(p)
     grp = t.group
+
+    def images(v):
+        return [phi(t, Functional(grp, x))
+                for x in component(v).subspace.basis]
+
     simples = irreps(grp)
-    images = {}
-    for v in simples:
-        images[v.label] = _image_vectors(t, component(v).subspace)
+    simple_images = {v.label: images(v) for v in simples}
     witnesses = []
     for v in simples:
         for w in simples:
-            target = Subspace(
-                grp.order,
-                _image_vectors(t, component(v.tensor(w)).subspace))
-            products = []
-            for x in images[v.label]:
-                ex = AlgebraElement(grp, dict(enumerate(x)))
-                for y in images[w.label]:
-                    ey = AlgebraElement(grp, dict(enumerate(y)))
-                    products.append((ex * ey).to_vector())
+            target = Subspace(grp.order,
+                              [x.to_vector() for x in images(v.tensor(w))])
+            products = [(x * y).to_vector()
+                        for x in simple_images[v.label]
+                        for y in simple_images[w.label]]
             if not target.contains_subspace(Subspace(grp.order, products)):
                 witnesses.append((v.label, w.label))
     return not witnesses, tuple(witnesses)
@@ -277,51 +271,34 @@ def solve_t(p):
     """Solve (Delta (x) 1)(P) = (m (x) m (x) 1)((T (x) 1) P_15 P_35) for T.
 
     The unknown T ranges over the full four-fold tensor power, so the
-    system has |G|^3 equations in |G|^4 unknowns.  Returns a four-slot
-    tensor or the Infeasible certificate produced by the exact solver.
+    system has |G|^3 equations in |G|^4 unknowns.  Its columns are read
+    off one product, Q = P_13 P_23 with terms (p1, q1, p2 q2): the column
+    of T's basis tensor (t1, t2, t3, t4) holds each coefficient of Q at
+    the row (t1 p1 t2, t3 q1 t4, p2 q2).  Returns a four-slot tensor or
+    the Infeasible certificate produced by the exact solver.
     """
     t = _tensor_of(p)
     grp = t.group
     n = grp.order
-    mul, inv = grp.mul, grp.inverse
-    coeffs = t.terms
-
-    def row_index(g1, g2, g3):
-        return (g1 * n + g2) * n + g3
-
-    rows = [[_F0] * (n ** 4) for _ in range(n ** 3)]
-    col = 0
-    support = list(coeffs.items())
-    for t1 in range(n):
-        for t2 in range(n):
-            for t3 in range(n):
-                for t4 in range(n):
-                    for (p1, p2), c in support:
-                        g1 = mul(t1, mul(p1, t2))
-                        base = c
-                        for (q1, q2), d in support:
-                            g2 = mul(t3, mul(q1, t4))
-                            g3 = mul(p2, q2)
-                            r = row_index(g1, g2, g3)
-                            rows[r][col] = rows[r][col] + base * d
-                    col += 1
+    table = grp.table
+    q = list((embed(t, 3, (0, 2)) * embed(t, 3, (1, 2))).terms.items())
+    cols = list(itertools.product(range(n), repeat=4))
+    rows = [[_F0] * len(cols) for _ in range(n ** 3)]
+    for col, (t1, t2, t3, t4) in enumerate(cols):
+        # (p1, q1) -> (t1 p1 t2, t3 q1 t4) is injective, so no two terms
+        # of Q share a row of this column
+        for (p1, q1, g3), c in q:
+            g1 = table[table[t1][p1]][t2]
+            g2 = table[table[t3][q1]][t4]
+            rows[(g1 * n + g2) * n + g3][col] = c
     b = [_F0] * (n ** 3)
-    for (a, c2), coeff in coeffs.items():
-        b[row_index(a, a, c2)] = b[row_index(a, a, c2)] + coeff
+    for (g1, g2, g3), c in apply_delta(t, 0).terms.items():
+        b[(g1 * n + g2) * n + g3] = c
     res = solve_linear(rows, b, want_nullspace=False)
     if isinstance(res, Infeasible):
         return res
-    terms = {}
-    idx = 0
-    for t1 in range(n):
-        for t2 in range(n):
-            for t3 in range(n):
-                for t4 in range(n):
-                    v = res.particular[idx]
-                    if v:
-                        terms[(t1, t2, t3, t4)] = v
-                    idx += 1
-    return TensorElement(grp, 4, terms)
+    return TensorElement(grp, 4, {key: v for key, v
+                                  in zip(cols, res.particular) if v})
 
 
 def check_t(p, t4: TensorElement) -> bool:
@@ -598,7 +575,8 @@ def mock_pw_decomposition(p) -> dict:
     direct = True
     for v in simples:
         sub = Subspace(grp.order,
-                       _image_vectors(t, component(v).subspace))
+                       [phi(t, Functional(grp, x)).to_vector()
+                        for x in component(v).subspace.basis])
         traces = []
         for g in range(grp.order):
             h = AlgebraElement.basis(grp, g)

@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     VariantError,
 )
-from .exact.linalg import Matrix, solve_linear, rref
+from .exact.linalg import Matrix, Subspace, nullspace
 from .exact.scalars import RatFun, scalar_to_str
 
 _V = RatFun.gen()
@@ -406,8 +406,7 @@ def _commutant_dimension(mats) -> int:
                     row[t * d + j] = row[t * d + j] + m[i, t]
                     row[i * d + t] = row[i * d + t] - m[t, j]
                 rows.append(row)
-    sol = solve_linear(rows, [_R0] * len(rows))
-    return len(sol.nullspace)
+    return len(nullspace(rows, d * d))
 
 
 @lru_cache(maxsize=None)
@@ -677,9 +676,6 @@ def central_commutant_solve(deg: int, k_powers=None):
             row_keys.update(comm.terms)
         commutators.append(per)
     keys = sorted(row_keys)
-    if not keys:
-        # every monomial in the span already commutes with the generators
-        return tuple(UqElement.monomial(*mono) for mono in monos)
     rows = []
     for gi in range(len(gens)):
         for key in keys:
@@ -687,9 +683,8 @@ def central_commutant_solve(deg: int, k_powers=None):
                 commutators[ci][gi].terms.get(key, _R0)
                 for ci in range(len(monos))
             ])
-    sol = solve_linear(rows, [_R0] * len(rows))
     basis = []
-    for vec in sol.nullspace:
+    for vec in nullspace(rows, len(monos)):
         terms = {mono: vec[ci] for ci, mono in enumerate(monos)}
         basis.append(UqElement(terms))
     return tuple(basis)
@@ -705,14 +700,6 @@ def _coordinates(elems):
     keys = sorted({key for x in elems for key in x.terms})
     rows = [[x.terms.get(key, _R0) for key in keys] for x in elems]
     return keys, rows
-
-
-def _in_span(rows, vec) -> bool:
-    base, _ = rref(rows)
-    ext, _ = rref(list(rows) + [vec])
-    base = [r for r in base if any(r)]
-    ext = [r for r in ext if any(r)]
-    return len(base) == len(ext)
 
 
 def joseph_component_check(n: int) -> dict:
@@ -739,10 +726,9 @@ def joseph_component_check(n: int) -> dict:
                 if y:
                     grown.append(y)
         keys, rows = _coordinates(grown)
-        reduced, pivots = rref(rows)
         basis = [
             UqElement({keys[ci]: row[ci] for ci in range(len(keys))})
-            for row in reduced[: len(pivots)]
+            for row in Subspace(len(keys), rows).basis
         ]
         if len(basis) == dim:
             break
@@ -750,7 +736,7 @@ def joseph_component_check(n: int) -> dict:
         if dim > target:
             raise InternalError("adjoint orbit overshoots the block")
     keys, rows = _coordinates(basis + [c_q(n)])
-    contains = _in_span(rows[: len(basis)], rows[-1])
+    contains = Subspace(len(keys), rows[: len(basis)]).contains(rows[-1])
     return {
         "n": n,
         "highest_to_lowest_unit": unit_ok,

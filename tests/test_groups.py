@@ -98,6 +98,14 @@ def test_product_renames_colliding_generators():
     assert len(set(g.elements)) == 4
 
 
+def test_product_with_a_custom_table_factor():
+    table = from_descriptor({"kind": "table", "table": [[0, 1], [1, 0]]})
+    g = product(table, cyclic(2))
+    assert g.order == 4
+    assert len(g.gens) == 2
+    assert len(set(g.elements)) == 4
+
+
 # ---------------------------------------------------------------------------
 # conjugacy classes
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ from peterweyl.exact.linalg import (
     LinearSolution,
     Matrix,
     Subspace,
+    _MODULAR_THRESHOLD,
     _dot,
     _primes31,
     _rat_reconstruct,
     _solve_exact,
+    _solve_modular,
+    nullspace,
     rref,
     solve_linear,
 )
@@ -70,6 +73,20 @@ def test_underdetermined_canonical_particular():
     assert len(res.nullspace) == 2
     assert res.nullspace[0] == (F(-2), F(1), F(0))
     assert res.nullspace[1] == (F(-3), F(0), F(1))
+
+
+def test_nullspace_of_no_rows_is_the_standard_basis():
+    assert nullspace([], 3) == ((F(1), F(0), F(0)),
+                                (F(0), F(1), F(0)),
+                                (F(0), F(0), F(1)))
+    assert nullspace([], 0) == ()
+
+
+def test_nullspace_matches_solve_linear():
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
+    assert nullspace(rows, 3) == solve_linear(rows, [F(0)] * 2).nullspace
+    with pytest.raises(DimensionError):
+        nullspace(rows, 4)
 
 
 def test_zero_rows_and_dimension_errors():
@@ -237,6 +254,7 @@ def test_modular_route_matches_reference_infeasible():
     assert check_solution(rows, b, fast) == "infeasible"
     slow = _solve_exact([list(r) for r in rows], list(b), True)
     assert isinstance(slow, Infeasible)
+    assert fast.certificate == slow.certificate
 
 
 def test_modular_route_with_fractional_entries():
@@ -249,6 +267,24 @@ def test_modular_route_with_fractional_entries():
     res = solve_linear(rows, b, want_nullspace=False)
     assert check_solution(rows, b, res) == "feasible"
     assert res.nullspace == ()
+
+
+def test_modular_route_itself_with_fractional_entries():
+    # 20 x 500 is above the threshold; call the modular route directly so a
+    # silent fall back to the reference route cannot pass for it
+    rng = random.Random(209)
+    m, n = 20, 500
+    assert m * (n + 1) >= _MODULAR_THRESHOLD
+    rows = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(m)]
+    x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    b = [_dot(r, x0) for r in rows]
+    fast = _solve_modular(rows, b, False)
+    assert fast is not None
+    assert check_solution(rows, b, fast) == "feasible"
+    slow = _solve_exact(rows, b, False)
+    assert fast.particular == slow.particular
+    assert fast.nullspace == slow.nullspace == ()
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,33 @@ def test_non_cocycle_rejected():
     assert not cocycle_check(t, t, ones)
     with pytest.raises(CocycleError):
         extension_by_cocycle(t, t, ones)
+    # Z1 has no generators, so rho(e) = 0 is the whole check there
+    z1 = trivial_rep(cyclic(1))
+    assert cocycle_check(z1, z1, (Matrix([[F(0)]]),))
+    assert not cocycle_check(z1, z1, (Matrix([[F(1)]]),))
+
+
+def test_cocycle_check_agrees_with_all_pairs():
+    # the all-pairs identity is the reference for the generator-based check
+    grp = symmetric(3)
+    reps = by_label(grp)
+    v, w = reps["std"], reps["sgn"]
+    rng = random.Random(41)
+
+    def all_pairs(rho):
+        return all(rho[grp.mul(g, h)]
+                   == rho[g] * w.matrices[h] + v.matrices[g] * rho[h]
+                   for g in range(6) for h in range(6))
+
+    good = coboundary(v, w, Matrix([[F(1)], [F(2)]]))
+    cases = [good]
+    for _ in range(10):
+        bad = list(good)
+        g = rng.randrange(6)
+        bad[g] = bad[g] + Matrix([[F(rng.randint(-3, 3))], [F(1)]])
+        cases.append(tuple(bad))
+    for rho in cases:
+        assert cocycle_check(v, w, rho) == all_pairs(rho)
 
 
 def test_submodule_block_structure():

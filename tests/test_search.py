@@ -27,7 +27,9 @@ from peterweyl.search import (
     full_verify,
     s3_family_slice_check,
     search,
+    _pair_tables,
     _symbolic_transfer_determinant,
+    _violates_fast,
 )
 from peterweyl.transfer import (
     bicharacter_r,
@@ -114,6 +116,28 @@ def test_perturbing_one_coordinate_violates_an_equation():
     coords = list(basis.coords_of(s3_family(F(1), F(1)).tensor))
     coords[3] = coords[3] + F(1, 5)
     assert system.first_violated(coords) is not None
+
+
+def test_fast_filter_agrees_with_the_system():
+    # the filter must reject a point exactly when the system fails there
+    rng = random.Random(53)
+    d4 = dihedral(4)
+    basis = a_basis(d4)
+    points = [[F(rng.randint(-20, 20), rng.randint(1, 20))
+               for _ in range(len(basis))] for _ in range(50)]
+    points.append(list(basis.coords_of(unit_p(d4).tensor)))
+    cases = [(d4, pt) for pt in points]
+    s3 = symmetric(3)
+    for lam, mu in ((1, 1), (2, 3)):
+        coords = a_basis(s3).coords_of(s3_family(F(lam), F(mu)).tensor)
+        cases.append((s3, list(coords)))
+    tables = {g.key: _pair_tables(g, a_basis(g)) for g in (d4, s3)}
+    seen = set()
+    for grp, pt in cases:
+        satisfied = assemble_constraints(grp).satisfied_by(pt)
+        assert _violates_fast(pt, tables[grp.key]) == (not satisfied)
+        seen.add(satisfied)
+    assert seen == {True, False}
 
 
 def test_regular_candidate_fails_the_system():
