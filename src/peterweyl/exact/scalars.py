@@ -10,6 +10,11 @@ inside one of them (no floating point anywhere):
   (d = deg Phi_n), with no subfield arithmetic;
 * ``RatFun``: the rational function field Q(v) in a single variable v,
   stored as a coprime numerator/denominator pair with monic denominator.
+  Normalisation takes one of two routes.  A denominator c*v^k (nearly
+  every value the quantized enveloping algebra produces) shares at most a
+  power of v with the numerator, which is cancelled directly; any other
+  denominator is reduced by a gcd computed over Z[v] with primitive
+  pseudo-remainders.  Both routes give the same normal form.
 
 Rationals promote into either extension; the two extensions never mix, and
 cyclotomic fields of different order never mix (``VariantError``).
@@ -24,7 +29,7 @@ Canonical string forms (used by every serialized artifact):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import ParseError, VariantError
 
@@ -106,22 +111,48 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(r)
 
 
-def _pmonic(a):
-    if _pdeg(a) < 0:
-        return a
-    lc = a[-1]
-    if lc == 1:
-        return a
-    return _pscale(a, 1 / lc)
+def _primitive(cs):
+    """Coprime integer coefficients proportional to the nonzero polynomial cs."""
+    scale = 1
+    for c in cs:
+        scale = lcm(scale, c.denominator)
+    ints = [c.numerator * (scale // c.denominator) for c in cs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q."""
+    """Monic gcd over Q of two polynomials, not both zero.
+
+    Euclid runs over Z[v] on primitive polynomials: each step takes a
+    pseudo-remainder, scaling by the divisor's leading coefficient only
+    when a quotient term would not be an integer, and keeps its primitive
+    part, which keeps the coefficients small.
+    """
     a, b = _ptrim(a), _ptrim(b)
-    while _pdeg(b) >= 0:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    return _pmonic(a)
+    if _pdeg(b) > _pdeg(a):
+        a, b = b, a
+    if _pdeg(b) < 0:
+        return tuple(c / a[-1] for c in a)
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, lb, db = a, b[-1], len(b) - 1
+        while len(r) > db:
+            top = r[-1]
+            if top % lb:
+                r = [lb * c for c in r]
+            else:
+                top //= lb
+            shift = len(r) - 1 - db
+            for i in range(db):
+                r[shift + i] -= top * b[i]
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return tuple(Fraction(c, lb) for c in b)
+        a, b = b, _primitive(r)
+    return (_F1,)
 
 
 def _pxgcd(a, b):
@@ -319,18 +350,33 @@ class Cyclotomic:
         return scalar_to_str(self)
 
 
+def _fractions(cs):
+    return _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in cs])
+
+
 class RatFun:
-    """An element of Q(v): numerator/denominator, coprime, monic denominator."""
+    """An element of Q(v): numerator/denominator, coprime, monic denominator.
+
+    A denominator c*v^k (a Laurent polynomial, the usual case) shares only
+    a power of v with the numerator, so normalising it strips that power
+    and divides by c without a gcd.  Any other denominator is reduced by
+    the gcd over Z[v] (``_pgcd``).
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = _ptrim([Fraction(c) for c in num])
-        den = _ptrim([Fraction(c) for c in den])
+        num, den = _fractions(num), _fractions(den)
         if _pdeg(den) < 0:
             raise ZeroDivisionError("zero denominator")
         if _pdeg(num) < 0:
             num, den = (_F0,), (_F1,)
+        elif not any(den[:-1]):
+            j, k, lc = 0, len(den) - 1, den[-1]
+            while j < k and not num[j]:
+                j += 1
+            num = num[j:] if lc == 1 else tuple(c / lc for c in num[j:])
+            den = (_F0,) * (k - j) + (_F1,)
         else:
             g = _pgcd(num, den)
             if _pdeg(g) > 0:
@@ -374,10 +420,16 @@ class RatFun:
             return RatFun.of(other)
         return None
 
+    # RatFun is immutable, so an operand can be returned as the result.
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o:
+            return self
+        if not self:
+            return o
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
         return RatFun(num, _pmul(self.den, o.den))
 
@@ -390,18 +442,27 @@ class RatFun:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o:
+            return self
+        if not self:
+            return -o
+        num = _psub(_pmul(self.num, o.den), _pmul(o.num, self.den))
+        return RatFun(num, _pmul(self.den, o.den))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self:
+            return self
+        if not o:
+            return o
         return RatFun(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -571,7 +632,7 @@ def scalar_from_str(s: str):
     s = s.strip()
     if s.endswith("@v"):
         body = s[:-2]
-        if "/[" not in body:
+        if "]/[" not in body:
             raise ParseError("bad ratfun %r" % s)
         i = body.index("]/[")
         num = _parse_list(body[: i + 1])

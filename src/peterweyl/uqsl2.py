@@ -44,11 +44,14 @@ _R1 = RatFun.of(1)
 _R0 = RatFun.of(0)
 
 
+@lru_cache(maxsize=None)
 def qpow(m: int) -> RatFun:
     """q^m in Q(v), with q = v^2."""
-    return _V ** (2 * m)
+    mono = (0,) * abs(2 * m) + (1,)
+    return RatFun(mono) if m >= 0 else RatFun((1,), mono)
 
 
+@lru_cache(maxsize=None)
 def qint(k: int) -> RatFun:
     """The balanced q-integer [k] = (q^k - q^-k) / (q - q^-1)."""
     if k < 0:

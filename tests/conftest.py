@@ -1,4 +1,16 @@
-"""Shared pytest hooks: print one verdict line per acceptance criterion."""
+"""Shared pytest hooks: print one verdict line per acceptance criterion.
+
+Property tests draw their examples deterministically (a seed derived from
+each test), a bounded number of them, and store nothing between runs, so
+every run of the suite checks the same cases.
+"""
+
+from hypothesis import settings
+
+settings.register_profile(
+    "deterministic", derandomize=True, max_examples=100, deadline=None,
+    database=None)
+settings.load_profile("deterministic")
 
 _CRITERIA: dict = {}
 

@@ -5,11 +5,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peterweyl.errors import ParseError, VariantError
 from peterweyl.exact.scalars import (
     Cyclotomic,
     RatFun,
+    _pdivmod,
+    _pgcd,
+    _pmul,
+    _ptrim,
     as_scalar,
     cyclotomic_polynomial,
     promote_like,
@@ -164,6 +170,89 @@ def test_ratfun_difference_of_squares():
 
 
 # ---------------------------------------------------------------------------
+# RatFun normal form against a Euclid-over-Fraction reference
+# ---------------------------------------------------------------------------
+#
+# The reference is the textbook route, built from the Fraction polynomial
+# helpers that Cyclotomic uses: Euclid's algorithm over Q, exact division
+# by the monic gcd, then a monic denominator.  Shared factors are
+# multiplied in on purpose so that the gcd is rarely trivial.
+
+def _poly_of(cs):
+    return _ptrim([Fraction(c) for c in cs])
+
+
+def _ref_gcd(a, b):
+    a, b = _poly_of(a), _poly_of(b)
+    while any(b):
+        a, b = b, _pdivmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _ref_normal(num, den):
+    num, den = _poly_of(num), _poly_of(den)
+    if not any(num):
+        return (F(0),), (F(1),)
+    g = _ref_gcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+_coef = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6))
+_poly = st.lists(_coef, min_size=1, max_size=4)
+_nonzero_poly = _poly.filter(any)
+_laurent_den = st.builds(
+    lambda k, c: (0,) * k + (c,), st.integers(0, 4), _coef.filter(bool))
+_any_den = st.one_of(_laurent_den, _nonzero_poly)
+
+
+@st.composite
+def _ratfun_parts(draw):
+    num, den = draw(_poly), draw(_any_den)
+    shared = _poly_of(draw(st.one_of(st.just((1,)), _any_den)))
+    return _pmul(_poly_of(num), shared), _pmul(_poly_of(den), shared)
+
+
+@given(_ratfun_parts())
+def test_ratfun_normal_form_matches_euclid_reference(parts):
+    num, den = parts
+    x = RatFun(num, den)
+    assert x.den[-1] == 1
+    assert all(type(c) is Fraction for c in x.num + x.den)
+    assert (x.num, x.den) == _ref_normal(num, den)
+    back = scalar_from_str(scalar_to_str(x))
+    assert back == x and hash(back) == hash(x)
+
+
+@given(_ratfun_parts())
+def test_ratfun_zero_operands(parts):
+    x = RatFun(*parts)
+    zero = RatFun.of(0)
+    assert x + 0 is x and x - zero is x and zero + x == x
+    assert x * 0 == 0 and 0 * x == 0
+    assert 0 - x == -x
+    assert x - x == 0
+
+
+@given(_poly, _poly)
+def test_pgcd_matches_euclid_reference(a, b):
+    if any(a) or any(b):
+        assert _pgcd(_poly_of(a), _poly_of(b)) == _ref_gcd(a, b)
+
+
+def test_pgcd_edge_cases():
+    # content alone differs: 2v + 2 against 4v + 4
+    assert _pgcd((F(2), F(2)), (F(4), F(4))) == (F(1), F(1))
+    assert _pgcd((F(1, 2), F(1, 3)), (F(3), F(2))) == (F(3, 2), F(1))
+    assert _pgcd((F(3),), (F(1), F(0), F(1))) == (F(1),)
+    assert _pgcd((F(5),), (F(-2, 7),)) == (F(1),)
+    assert _pgcd((F(0),), (F(2), F(4))) == (F(1, 2), F(1))
+    assert _pgcd((F(-3), F(0), F(3)), (F(0),)) == (F(-1), F(0), F(1))
+
+
+# ---------------------------------------------------------------------------
 # field axioms, swept with seeded randomness per variant
 # ---------------------------------------------------------------------------
 
@@ -261,6 +350,8 @@ BAD_STRINGS = [
     "[1/1,2/1@v",
     "[1/1]/[0/1]@v",
     "[1/1][2/1]@v",
+    "[1/[2]@v",
+    "[1]/[2]/[3]@v",
     "[1/1,2/1]zeta(4)",
 ]
 

@@ -12,6 +12,8 @@ Independent oracles used here:
   pairing without touching the braiding pipeline.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -74,6 +76,18 @@ def test_qint_values():
     assert qint(2) == qpow(1) + qpow(-1)
     assert qint(-3) == -qint(3)
     assert qfact(3) == qint(2) * qint(3)
+
+
+def test_qpow_and_qint_match_their_definitions():
+    v = RatFun.gen()
+    for m in range(-12, 13):
+        assert qpow(m) == v ** (2 * m)
+    for k in range(-8, 9):
+        total = RatFun.of(0)
+        for t in range(abs(k)):
+            total = total + v ** (2 * (abs(k) - 1 - 2 * t))
+        assert qint(k) == (total if k >= 0 else -total)
+        assert qint(k) == (v ** (2 * k) - v ** (-2 * k)) / (v ** 2 - v ** -2)
 
 
 def test_normal_form_matches_module_action():
@@ -314,6 +328,20 @@ def test_c_q_linearly_independent():
 def test_c_q_rejects_negative_label():
     with pytest.raises(PreconditionError):
         c_q(-1)
+
+
+def _digest(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_canonical_strings_are_frozen():
+    # every artifact of `uq center` is built from these strings; theta's
+    # coefficients carry denominators that are not powers of v
+    assert _digest([c_q(n).to_json() for n in range(4)]) == "81a4229162ea51e7"
+    assert _digest([str(c) for c in theta(3).coeffs]) == "36d8495b47d33f30"
+    assert (_digest([x.to_json() for x in central_commutant_solve(2)])
+            == "4f46402c24672cfa")
 
 
 # ---------------------------------------------------------------------------
