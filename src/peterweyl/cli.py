@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ParseError, PeterWeylError, PreconditionError
-from .exact.linalg import Infeasible, solve_linear
 from .exact.scalars import Cyclotomic, RatFun, scalar_from_str, scalar_to_str
 from .groups import parse_group, same_group
 from .hopf import tensor_from_json, tensor_to_json
@@ -40,7 +39,7 @@ from .transfer import (
     mock_pw_decomposition,
     s3_family,
 )
-from .uqsl2 import UqElement, c_q, central_commutant_solve, joseph_component_check
+from .uqsl2 import UqElement, c_q, central_commutant_solve, in_span, joseph_component_check
 
 _REQUIRABLE = ("A", "M", "M0", "full-rank", "center-image")
 _UQ_CHECKS = ("central", "product", "commutant", "component")
@@ -305,13 +304,7 @@ def _uq_run_checks(n: int, names) -> dict:
                 total = total + c_q(k)
             results[name] = cn * cn == total
         elif name == "commutant":
-            basis = central_commutant_solve(n)
-            keys = sorted({key for x in list(basis) + [cn] for key in x.terms})
-            zero = RatFun.of(0)
-            rows = [[x.terms.get(key, zero) for x in basis] for key in keys]
-            rhs = [cn.terms.get(key, zero) for key in keys]
-            results[name] = not isinstance(
-                solve_linear(rows, rhs, want_nullspace=False), Infeasible)
+            results[name] = in_span(central_commutant_solve(n), cn)
         elif name == "component":
             report = joseph_component_check(n)
             results[name] = bool(

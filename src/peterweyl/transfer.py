@@ -43,6 +43,7 @@ from .hopf import (
     TensorElement,
     act,
     apply_delta,
+    class_indicator_subspace,
     convolve,
     embed,
     multiply_adjacent,
@@ -50,7 +51,7 @@ from .hopf import (
     permute_slots,
     tensor,
 )
-from .pw import component, z
+from .pw import translate_span, z
 from .reps import decompose_character, irreps
 
 _F0 = Fraction(0)
@@ -177,6 +178,13 @@ def in_a(p) -> bool:
     return a
 
 
+def _is_central(x: AlgebraElement) -> bool:
+    """Does x commute with each generator of its group, hence with all?"""
+    grp = x.group
+    return all(x * h == h * x for h in
+               (AlgebraElement.basis(grp, gi) for gi in grp.gens))
+
+
 def equivariance_check(p) -> bool:
     """phi intertwines the diamond action with the adjoint action."""
     if not in_a(p):
@@ -198,21 +206,42 @@ def center_image_check(p) -> bool:
         raise PreconditionError(
             "the center-image property requires an admissible tensor")
     t = _tensor_of(p)
-    grp = t.group
-    gens = [AlgebraElement.basis(grp, gi) for gi in grp.gens]
-    for cls in grp.conjugacy_classes():
-        ind = Functional(grp, [_F1 if i in cls else _F0
-                               for i in range(grp.order)])
-        img = phi(t, ind)
-        for h in gens:
-            if img * h != h * img:
-                return False
-    return True
+    return all(_is_central(phi(t, Functional(t.group, ind)))
+               for ind in class_indicator_subspace(t.group).basis)
 
 
 # ---------------------------------------------------------------------------
 # multiplicativity
 # ---------------------------------------------------------------------------
+
+def _image_block(t: TensorElement, chi: Functional) -> Subspace:
+    """phi-image of the block spanned by the translates of chi."""
+    grp = t.group
+    return Subspace(grp.order, [phi(t, Functional(grp, x)).to_vector()
+                                for x in translate_span(chi).basis])
+
+
+def _multiplicativity(t: TensorElement):
+    """in_m's witnesses, and the phi-image block of each simple.
+
+    The block of V (x) W is read off its character, the convolution of
+    the characters of V and W.
+    """
+    grp = t.group
+    simples = irreps(grp)
+    chars = [z(v) for v in simples]
+    blocks = [_image_block(t, chi) for chi in chars]
+    elements = [[AlgebraElement(grp, dict(enumerate(row)))
+                 for row in block.basis] for block in blocks]
+    witnesses = []
+    for v, cv, xs in zip(simples, chars, elements):
+        for w, cw, ys in zip(simples, chars, elements):
+            target = _image_block(t, convolve(cv, cw))
+            if not all(target.contains((x * y).to_vector())
+                       for x in xs for y in ys):
+                witnesses.append((v.label, w.label))
+    return tuple(witnesses), blocks
+
 
 def in_m(p):
     """Pairwise multiplicativity on coefficient subspaces, with witnesses.
@@ -220,26 +249,8 @@ def in_m(p):
     Returns (bool, witnesses); each witness is a pair of irreducible labels
     whose image product escapes the image of the tensor component.
     """
-    t = _tensor_of(p)
-    grp = t.group
-
-    def images(v):
-        return [phi(t, Functional(grp, x))
-                for x in component(v).subspace.basis]
-
-    simples = irreps(grp)
-    simple_images = {v.label: images(v) for v in simples}
-    witnesses = []
-    for v in simples:
-        for w in simples:
-            target = Subspace(grp.order,
-                              [x.to_vector() for x in images(v.tensor(w))])
-            products = [(x * y).to_vector()
-                        for x in simple_images[v.label]
-                        for y in simple_images[w.label]]
-            if not target.contains_subspace(Subspace(grp.order, products)):
-                witnesses.append((v.label, w.label))
-    return not witnesses, tuple(witnesses)
+    witnesses, _ = _multiplicativity(_tensor_of(p))
+    return not witnesses, witnesses
 
 
 def in_m0(p) -> bool:
@@ -249,13 +260,10 @@ def in_m0(p) -> bool:
     simples = irreps(grp)
     if len(simples) != len(grp.conjugacy_classes()):
         raise InternalError("character count must match class count")
-    gens = [AlgebraElement.basis(grp, gi) for gi in grp.gens]
     zs = [z(v) for v in simples]
     imgs = [phi(t, zi) for zi in zs]
-    for img in imgs:
-        for h in gens:
-            if img * h != h * img:
-                return False
+    if not all(_is_central(img) for img in imgs):
+        return False
     for i, zi in enumerate(zs):
         for j in range(i, len(zs)):
             if phi(t, convolve(zi, zs[j])) != imgs[i] * imgs[j]:
@@ -374,13 +382,7 @@ def r_membership(rplus: TensorElement, rminus: TensorElement) -> bool:
 
 def grouplike_check(g: AlgebraElement) -> bool:
     """Group-like with g S^2(h) = h g; for group algebras: central basis g."""
-    if g.delta() != tensor(g, g) or g.counit() != 1:
-        return False
-    for gi in g.group.gens:
-        h = AlgebraElement.basis(g.group, gi)
-        if g * h != h * g:
-            return False
-    return True
+    return g.delta() == tensor(g, g) and g.counit() == 1 and _is_central(g)
 
 
 def p_from_r(rplus: TensorElement, rminus: TensorElement,
@@ -563,20 +565,15 @@ def mock_pw_decomposition(p) -> dict:
     grp = t.group
     if not in_a(t):
         raise PreconditionError("decomposition requires an admissible tensor")
-    m_ok, _ = in_m(t)
-    if not m_ok:
+    witnesses, subs = _multiplicativity(t)
+    if witnesses:
         raise PreconditionError(
             "decomposition requires a multiplicative tensor")
     if phi_rank(t) != grp.order:
         raise PreconditionError("decomposition requires a bijective transfer")
     simples = irreps(grp)
     blocks = []
-    running = Subspace(grp.order, [])
-    direct = True
-    for v in simples:
-        sub = Subspace(grp.order,
-                       [phi(t, Functional(grp, x)).to_vector()
-                        for x in component(v).subspace.basis])
+    for v, sub in zip(simples, subs):
         traces = []
         for g in range(grp.order):
             h = AlgebraElement.basis(grp, g)
@@ -591,18 +588,16 @@ def mock_pw_decomposition(p) -> dict:
             traces.append(trace)
         ad_char = Functional(grp, traces)
         ad_type = decompose_character(grp, ad_char)
-        expected = Functional(grp, [
-            v.character()(g) * v.character()(grp.inverse(g))
-            for g in range(grp.order)])
+        chi = z(v).values
+        expected = Functional(grp, [chi[g] * chi[grp.inverse(g)]
+                                    for g in range(grp.order)])
         if ad_char != expected:
             raise InternalError(
                 "adjoint character of the block must match V tensor V-dual")
-        grown = running.sum(sub)
-        if grown.dim != running.dim + sub.dim:
-            direct = False
-        running = grown
         blocks.append({"label": v.label, "dim": sub.dim,
                        "ad_type": dict(sorted(ad_type.multiplicities.items()))})
+    # independent and filling: the dimensions add up to that of the sum, |G|
+    total = Subspace(grp.order, [row for sub in subs for row in sub.basis])
     c_vectors = [phi(t, z(v)).to_vector() for v in simples]
     c_span = Subspace(grp.order, c_vectors)
     center_dim = len(grp.conjugacy_classes())
@@ -611,7 +606,7 @@ def mock_pw_decomposition(p) -> dict:
         "order": grp.order,
         "blocks": blocks,
         "dims": [b["dim"] for b in blocks],
-        "direct": direct and running.dim == grp.order,
+        "direct": sum(sub.dim for sub in subs) == total.dim == grp.order,
         "c_rank": c_span.dim,
         "center_dim": center_dim,
         "c_spans_center": c_span.dim == center_dim,

@@ -705,6 +705,12 @@ def _coordinates(elems):
     return keys, rows
 
 
+def in_span(elems, x: UqElement) -> bool:
+    """Is x a linear combination of the given elements over Q(v)?"""
+    keys, rows = _coordinates(list(elems) + [x])
+    return Subspace(len(keys), rows[:-1]).contains(rows[-1])
+
+
 def joseph_component_check(n: int) -> dict:
     """Verify the block of the algebra carried by module(n).
 
@@ -738,13 +744,11 @@ def joseph_component_check(n: int) -> dict:
         dim = len(basis)
         if dim > target:
             raise InternalError("adjoint orbit overshoots the block")
-    keys, rows = _coordinates(basis + [c_q(n)])
-    contains = Subspace(len(keys), rows[: len(basis)]).contains(rows[-1])
     return {
         "n": n,
         "highest_to_lowest_unit": unit_ok,
         "ad_orbit_dimension": dim,
         "expected_dimension": target,
         "spans_component": dim == target,
-        "central_element_inside": contains,
+        "central_element_inside": in_span(basis, c_q(n)),
     }

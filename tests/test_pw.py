@@ -20,7 +20,14 @@ from peterweyl.hopf import (
     class_indicator_subspace,
     convolve,
 )
-from peterweyl.reps import coboundary, decompose, irreps, zero_cocycle
+from peterweyl.reps import (
+    Rep,
+    coboundary,
+    decompose,
+    extension_by_cocycle,
+    irreps,
+    zero_cocycle,
+)
 from peterweyl.pw import (
     PWComponent,
     beta,
@@ -136,11 +143,41 @@ def test_component_ignores_multiplicity():
 def test_component_of_extension_is_sum_of_components():
     reps = by_label(symmetric(3))
     v, w = reps["std"], reps["sgn"]
-    from peterweyl.reps import extension_by_cocycle
     rho = coboundary(v, w, Matrix([[F(2)], [F(-1)]]))
     ext = extension_by_cocycle(v, w, rho)
     assert component(ext).subspace \
         == component(v).subspace.sum(component(w).subspace)
+
+
+def coefficient_span(v):
+    """The defining span: beta(v, e_i, f_j) over all pairs of unit vectors."""
+    units = [[F(int(i == k)) for k in range(v.dim)] for i in range(v.dim)]
+    return Subspace(v.group.order, [beta(v, e, f).values
+                                    for e in units for f in units])
+
+
+def test_component_is_the_span_of_all_matrix_coefficients():
+    # component reads only the character; the d^2 functionals beta(e_i, f_j)
+    # are the definition it must reproduce
+    modules = []
+    for grp in (symmetric(3), dihedral(4), symmetric(4), cyclic(5),
+                parse_group("Z2xZ2xZ2")):
+        modules.extend(irreps(grp))
+    reps = by_label(symmetric(3))
+    v, w = reps["std"], reps["sgn"]
+    rho = coboundary(v, w, Matrix([[F(2)], [F(-1)]]))
+    modules += [v.tensor(v), v.tensor(w), v.direct_sum(v),
+                extension_by_cocycle(v, w, rho)]
+    d4 = by_label(dihedral(4))
+    modules.append(d4["rho1"].tensor(d4["alt"]))
+    # irreducible over Q with End = Q(zeta_3): no Burnside, block of dim 2
+    rot = Rep.from_generators(cyclic(3),
+                              {1: Matrix([[F(0), F(-1)], [F(1), F(-1)]])},
+                              "rot")
+    modules.append(rot)
+    for m in modules:
+        assert component(m).subspace == coefficient_span(m), m.label
+    assert component(rot).dim == 2
 
 
 def test_distinct_simples_have_independent_components():
@@ -154,7 +191,6 @@ def test_distinct_simples_have_independent_components():
 def test_pairing_block_of_submodule_against_quotient_dual_vanishes():
     # inside an extension the submodule block pairs to zero against the
     # dual coordinates of the quotient block, cocycle or not
-    from peterweyl.reps import extension_by_cocycle
     reps = by_label(symmetric(3))
     v, w = reps["std"], reps["sgn"]
     rho = coboundary(v, w, Matrix([[F(1)], [F(3)]]))

@@ -235,6 +235,22 @@ def test_regular_candidate_fails_at_the_sign_sign_pair():
     assert not in_m0(p)
 
 
+def test_regular_candidate_on_s4_fails_only_at_the_sign_pair():
+    rep = membership_report(regular_p(symmetric(4))).to_json()
+    assert rep["M"] is False
+    assert rep["M_witnesses"] == [["sgn", "sgn"]]
+    assert rep["M0"] is False
+    assert rep["rank"] == 24
+    assert rep["center_image"] is True
+
+
+def test_regular_candidate_on_d6_witnesses_are_frozen():
+    ok, witnesses = in_m(regular_p(dihedral(6)))
+    assert not ok
+    assert witnesses == (("sgn", "sgn"), ("alt", "alt"),
+                         ("altsgn", "altsgn"), ("rho1", "rho1"))
+
+
 def test_family_points_are_character_multiplicative():
     for pt in [(1, 1), (2, 3), (5, 7), (0, 1), (1, 0)]:
         assert in_m0(s3_family(F(pt[0]), F(pt[1])))
