@@ -317,7 +317,10 @@ def _uq_run_checks(n: int, names) -> dict:
 def _cmd_uq(args) -> int:
     if args.n < 0:
         raise _InputError("--n must be >= 0, got %d" % args.n)
-    names = [c.strip() for c in args.check.split(",") if c.strip()]
+    names = list(dict.fromkeys(c.strip() for c in args.check.split(",")
+                               if c.strip()))
+    if not names:
+        raise _InputError("--check names no check")
     if "all" in names:
         names = list(_UQ_CHECKS)
     for name in names:

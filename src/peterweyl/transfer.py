@@ -225,7 +225,8 @@ def _multiplicativity(t: TensorElement):
     """in_m's witnesses, and the phi-image block of each simple.
 
     The block of V (x) W is read off its character, the convolution of
-    the characters of V and W.
+    the characters of V and W.  Characters convolve pointwise, so (V, W)
+    and (W, V) share one target block.
     """
     grp = t.group
     simples = irreps(grp)
@@ -233,13 +234,15 @@ def _multiplicativity(t: TensorElement):
     blocks = [_image_block(t, chi) for chi in chars]
     elements = [[AlgebraElement(grp, dict(enumerate(row)))
                  for row in block.basis] for block in blocks]
+    k = len(simples)
+    targets = {(i, j): _image_block(t, convolve(chars[i], chars[j]))
+               for i in range(k) for j in range(i, k)}
     witnesses = []
-    for v, cv, xs in zip(simples, chars, elements):
-        for w, cw, ys in zip(simples, chars, elements):
-            target = _image_block(t, convolve(cv, cw))
-            if not all(target.contains((x * y).to_vector())
-                       for x in xs for y in ys):
-                witnesses.append((v.label, w.label))
+    for i, j in itertools.product(range(k), repeat=2):
+        target = targets[min(i, j), max(i, j)]
+        if not all(target.contains((x * y).to_vector())
+                   for x in elements[i] for y in elements[j]):
+            witnesses.append((simples[i].label, simples[j].label))
     return tuple(witnesses), blocks
 
 

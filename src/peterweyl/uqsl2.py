@@ -62,12 +62,18 @@ def qint(k: int) -> RatFun:
     return out
 
 
-def qfact(k: int) -> RatFun:
-    """The q-factorial [k]! = [1][2]...[k]."""
+@lru_cache(maxsize=None)
+def qrange(lo: int, count: int) -> RatFun:
+    """The product [lo][lo+1]...[lo+count-1] of q-integers."""
     out = _R1
-    for t in range(2, k + 1):
+    for t in range(lo, lo + count):
         out = out * qint(t)
     return out
+
+
+def qfact(k: int) -> RatFun:
+    """The q-factorial [k]! = [1][2]...[k]."""
+    return qrange(1, k)
 
 
 _QDIFF = qpow(1) - qpow(-1)
@@ -349,6 +355,10 @@ def adjoint(x: UqElement, y: UqElement) -> UqElement:
 # ---------------------------------------------------------------------------
 # simple modules
 # ---------------------------------------------------------------------------
+#
+# A module matrix is never a product of generator matrices: act writes the
+# image of each basis vector under a monomial in closed form, and the
+# generator matrices are act(E), act(F) and act(K).
 
 
 class UqModule:
@@ -360,38 +370,33 @@ class UqModule:
 
     __slots__ = ("n", "dim", "weights", "mat_e", "mat_f", "mat_k")
 
-    def __init__(self, n, dim, weights, mat_e, mat_f, mat_k):
+    def __init__(self, n: int):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mat_e", mat_e)
-        object.__setattr__(self, "mat_f", mat_f)
-        object.__setattr__(self, "mat_k", mat_k)
+        object.__setattr__(self, "dim", n + 1)
+        object.__setattr__(self, "weights", tuple(n - 2 * i for i in range(n + 1)))
+        object.__setattr__(self, "mat_e", self.act(UqElement.e()))
+        object.__setattr__(self, "mat_f", self.act(UqElement.f()))
+        object.__setattr__(self, "mat_k", self.act(UqElement.k()))
 
     def __setattr__(self, *a):
         raise AttributeError("UqModule is immutable")
 
-    def k_power(self, b: int) -> Matrix:
-        d = self.dim
-        return Matrix(
-            [
-                [qpow(self.weights[i] * b) if i == j else _R0 for j in range(d)]
-                for i in range(d)
-            ]
-        )
-
     def act(self, x: UqElement) -> Matrix:
-        """Matrix of x, assembled monomial by monomial."""
-        d = self.dim
-        out = Matrix.zeros(d, d)
+        """Matrix of x, one closed-form entry per monomial and basis vector.
+
+        F^a K^b E^c sends v_i to
+        [n-i+1]...[n-i+c] q^(b m_(i-c)) [i-c+1]...[i-c+a] v_(i-c+a)
+        with m_j = n - 2j, and to 0 when i < c or i - c + a > n.
+        """
+        n, d = self.n, self.dim
+        rows = [[_R0] * d for _ in range(d)]
         for (a, b, c), v in x.terms.items():
-            m = self.k_power(b)
-            for _ in range(a):
-                m = self.mat_f * m
-            for _ in range(c):
-                m = m * self.mat_e
-            out = out + m.scale(v)
-        return out
+            for i in range(c, min(d, d - a + c)):
+                j = i - c
+                entry = (v * qrange(n - i + 1, c) * qpow(b * self.weights[j])
+                         * qrange(j + 1, a))
+                rows[j + a][i] = rows[j + a][i] + entry
+        return Matrix(rows)
 
     def __repr__(self):
         return "UqModule(n=%d)" % self.n
@@ -417,32 +422,13 @@ def module(n: int) -> UqModule:
     """Build the n+1 dimensional simple module and verify it is one."""
     if n < 0:
         raise PreconditionError("module label must be >= 0, got %d" % n)
-    d = n + 1
-    weights = tuple(n - 2 * i for i in range(d))
-    mat_e = Matrix(
-        [
-            [qint(n - i) if j == i + 1 else _R0 for j in range(d)]
-            for i in range(d)
-        ]
-    )
-    mat_f = Matrix(
-        [
-            [qint(i) if j == i - 1 else _R0 for j in range(d)]
-            for i in range(d)
-        ]
-    )
-    mat_k = Matrix(
-        [
-            [qpow(weights[i]) if i == j else _R0 for j in range(d)]
-            for i in range(d)
-        ]
-    )
-    mod = UqModule(n, d, weights, mat_e, mat_f, mat_k)
+    mod = UqModule(n)
+    mat_e, mat_f, mat_k = mod.mat_e, mod.mat_f, mod.mat_k
     relation = mat_e * mat_f - mat_f * mat_e
-    expected = (mod.k_power(1) - mod.k_power(-1)).scale(_R1 / _QDIFF)
+    expected = (mat_k - mod.act(UqElement.k(-1))).scale(_R1 / _QDIFF)
     if relation != expected:
         raise InternalError("module matrices break the E,F commutator")
-    if mod.k_power(1) * mat_e != (mat_e * mod.k_power(1)).scale(qpow(1) ** 2):
+    if mat_k * mat_e != (mat_e * mat_k).scale(qpow(2)):
         raise InternalError("module matrices break the K,E relation")
     if _commutant_dimension([mat_e, mat_f, mat_k]) != 1:
         raise InternalError("module(%d) is not simple" % n)
@@ -452,6 +438,10 @@ def module(n: int) -> UqModule:
 # ---------------------------------------------------------------------------
 # braiding data
 # ---------------------------------------------------------------------------
+#
+# The coproduct is stated once, in UqElement.delta.  Its matrices on a pair
+# of modules, and those of the opposite coproduct, are read off the terms
+# of delta() through act and built once per pair of labels.
 
 
 def r0_pairing(mu_minus: int, mu_plus: int) -> RatFun:
@@ -494,19 +484,13 @@ class ThetaExpansion:
         )
 
 
-def _matrix_power(m: Matrix, k: int) -> Matrix:
-    out = Matrix.identity(m.nrows)
-    for _ in range(k):
-        out = out * m
-    return out
-
-
 def r_action(theta_exp: ThetaExpansion, mv: UqModule, mw: UqModule) -> Matrix:
     """Matrix of the braiding on mv (x) mw: weight scaling after the expansion."""
     dv, dw = mv.dim, mw.dim
     total = Matrix.zeros(dv * dw, dv * dw)
     for kk in range(min(theta_exp.order, mv.n, mw.n) + 1):
-        block = _matrix_power(mv.mat_e, kk).kron(_matrix_power(mw.mat_f, kk))
+        block = mv.act(UqElement.monomial(0, 0, kk)).kron(
+            mw.act(UqElement.monomial(kk, 0, 0)))
         total = total + block.scale(theta_exp.coeffs[kk])
     scaled = [
         [
@@ -518,34 +502,30 @@ def r_action(theta_exp: ThetaExpansion, mv: UqModule, mw: UqModule) -> Matrix:
     return Matrix(scaled)
 
 
-def _coproduct_action(mv: UqModule, mw: UqModule, gen: str, opposite: bool) -> Matrix:
-    iv, iw = Matrix.identity(mv.dim), Matrix.identity(mw.dim)
-    if gen == "E":
-        pairs = [(iv, mw.mat_e), (mv.mat_e, mw.mat_k)]
-    elif gen == "F":
-        pairs = [(mv.mat_f, iw), (mv.k_power(-1), mw.mat_f)]
-    elif gen == "K":
-        pairs = [(mv.mat_k, mw.mat_k)]
-    else:
-        raise PreconditionError("unknown generator %r" % gen)
-    if opposite and gen == "E":
-        pairs = [(mv.mat_e, iw), (mv.mat_k, mw.mat_e)]
-    if opposite and gen == "F":
-        pairs = [(iv, mw.mat_f), (mv.mat_f, mw.k_power(-1))]
-    out = Matrix.zeros(mv.dim * mw.dim, mv.dim * mw.dim)
-    for left, right in pairs:
-        out = out + left.kron(right)
-    return out
+@lru_cache(maxsize=None)
+def _coproduct_actions(m: int, n: int) -> tuple:
+    """(Delta(x), Delta^op(x)) on module(m) (x) module(n), for x = E, F, K.
+
+    Both are read off x.delta() through act; the opposite coproduct swaps
+    the two legs of every term.
+    """
+    mv, mw = module(m), module(n)
+    zero = Matrix.zeros(mv.dim * mw.dim, mv.dim * mw.dim)
+    out = []
+    for x in (UqElement.e(), UqElement.f(), UqElement.k()):
+        straight = flipped = zero
+        for (m1, m2), cf in x.delta().terms.items():
+            left, right = UqElement.monomial(*m1, cf), UqElement.monomial(*m2)
+            straight = straight + mv.act(left).kron(mw.act(right))
+            flipped = flipped + mv.act(right).kron(mw.act(left))
+        out.append((straight, flipped))
+    return tuple(out)
 
 
 def _intertwines(theta_exp: ThetaExpansion, mv: UqModule, mw: UqModule) -> bool:
     rmat = r_action(theta_exp, mv, mw)
-    for gen in ("E", "F", "K"):
-        straight = _coproduct_action(mv, mw, gen, opposite=False)
-        flipped = _coproduct_action(mv, mw, gen, opposite=True)
-        if rmat * straight != flipped * rmat:
-            return False
-    return True
+    return all(rmat * straight == flipped * rmat
+               for straight, flipped in _coproduct_actions(mv.n, mw.n))
 
 
 _CONVENTION: list = []
@@ -617,7 +597,7 @@ def transferred_coefficient(n: int, i: int, j: int) -> UqElement:
         k = l - (i - j)
         if k < 0 or k > n:
             continue
-        gamma = (_matrix_power(mod.mat_f, k) * _matrix_power(mod.mat_e, l))[j, i]
+        gamma = mod.act(UqElement.monomial(k, 0, l))[j, i]
         if not gamma:
             continue
         coeff = (

@@ -173,6 +173,27 @@ def test_uq_center_all_checks_small(tmp_path):
                              "commutant": True, "component": True}
 
 
+def test_uq_center_check_list_must_name_a_check(tmp_path, capsys):
+    for checks in (",", " , ", ""):
+        out = tmp_path / "none.json"
+        assert main(["uq", "center", "--n", "1", "--check", checks,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "input"
+        assert not out.exists()
+
+
+def test_uq_center_repeated_checks_run_once(tmp_path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["uq", "center", "--n", "1", "--check", "central",
+                 "--out", str(once)]) == 0
+    assert main(["uq", "center", "--n", "1", "--check", "central, central",
+                 "--out", str(twice)]) == 0
+    assert _read(twice)["config"]["check"] == ["central"]
+    assert twice.read_bytes() == once.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # groups, artifacts, errors
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ import pytest
 
 from peterweyl.errors import PreconditionError, VariantError
 from peterweyl.exact.linalg import Matrix, Subspace, solve_linear
-from peterweyl.exact.scalars import Cyclotomic, RatFun, scalar_from_str
+from peterweyl.exact.scalars import (
+    Cyclotomic,
+    RatFun,
+    scalar_from_str,
+    scalar_to_str,
+)
 from peterweyl.uqsl2 import (
     ThetaExpansion,
     UqElement,
@@ -222,6 +227,95 @@ def test_module_rejects_negative_label():
         module(-1)
 
 
+# Reference module matrices: the generator matrices are written entry by
+# entry from the weights and q-integers, a monomial F^a K^b E^c acts as the
+# product mat_f^a K^b mat_e^c, and the coproduct tables are written out by
+# hand.  None of this reads UqModule.act's closed form or UqElement.delta.
+
+
+def _ref_generators(n):
+    d, zero = n + 1, RatFun.of(0)
+    mat_e = Matrix([[qint(n - i) if j == i + 1 else zero for j in range(d)]
+                    for i in range(d)])
+    mat_f = Matrix([[qint(i) if j == i - 1 else zero for j in range(d)]
+                    for i in range(d)])
+    return mat_e, mat_f
+
+
+def _ref_k_power(n, b):
+    d = n + 1
+    return Matrix([[qpow((n - 2 * i) * b) if i == j else RatFun.of(0)
+                    for j in range(d)] for i in range(d)])
+
+
+def _ref_power(mat, k):
+    out = Matrix.identity(mat.nrows)
+    for _ in range(k):
+        out = out * mat
+    return out
+
+
+def _ref_act(n, x):
+    mat_e, mat_f = _ref_generators(n)
+    out = Matrix.zeros(n + 1, n + 1)
+    for (a, b, c), v in x.terms.items():
+        mono = _ref_power(mat_f, a) * _ref_k_power(n, b) * _ref_power(mat_e, c)
+        out = out + mono.scale(v)
+    return out
+
+
+def _ref_coproduct(m, n, gen, opposite):
+    ev, fv = _ref_generators(m)
+    ew, fw = _ref_generators(n)
+    iv, iw = Matrix.identity(m + 1), Matrix.identity(n + 1)
+    kv, kw = _ref_k_power(m, 1), _ref_k_power(n, 1)
+    kv_inv, kw_inv = _ref_k_power(m, -1), _ref_k_power(n, -1)
+    tables = {
+        # Delta(E) = 1 (x) E + E (x) K,  Delta(F) = F (x) 1 + K^-1 (x) F
+        ("E", False): [(iv, ew), (ev, kw)],
+        ("F", False): [(fv, iw), (kv_inv, fw)],
+        ("K", False): [(kv, kw)],
+        ("E", True): [(ev, iw), (kv, ew)],
+        ("F", True): [(iv, fw), (fv, kw_inv)],
+        ("K", True): [(kv, kw)],
+    }
+    out = Matrix.zeros((m + 1) * (n + 1), (m + 1) * (n + 1))
+    for left, right in tables[gen, opposite]:
+        out = out + left.kron(right)
+    return out
+
+
+def test_act_matches_products_of_generator_matrices():
+    # a, c up to n + 1 reach monomials that kill the module, and b runs
+    # through negative K powers
+    rng = random.Random(5309)
+    for n in range(6):
+        mod = module(n)
+        assert (mod.mat_e, mod.mat_f) == _ref_generators(n)
+        assert mod.mat_k == _ref_k_power(n, 1)
+        for _ in range(6):
+            terms = {}
+            for _ in range(3):
+                key = (rng.randint(0, n + 1), rng.randint(-3, 3),
+                       rng.randint(0, n + 1))
+                terms[key] = F(rng.randint(-9, 9), rng.randint(1, 9))
+            x = UqElement(terms)
+            assert mod.act(x) == _ref_act(n, x)
+        killers = UqElement.monomial(n + 1, 0, 0) + UqElement.monomial(
+            0, -1, n + 1)
+        assert mod.act(killers) == Matrix.zeros(n + 1, n + 1)
+
+
+def test_coproduct_matrices_match_the_hand_written_tables():
+    from peterweyl.uqsl2 import _coproduct_actions
+
+    for m in range(3):
+        for n in range(3):
+            for gen, (straight, flipped) in zip("EFK", _coproduct_actions(m, n)):
+                assert straight == _ref_coproduct(m, n, gen, opposite=False)
+                assert flipped == _ref_coproduct(m, n, gen, opposite=True)
+
+
 # ---------------------------------------------------------------------------
 # braiding data
 # ---------------------------------------------------------------------------
@@ -342,6 +436,23 @@ def test_canonical_strings_are_frozen():
     assert _digest([str(c) for c in theta(3).coeffs]) == "36d8495b47d33f30"
     assert (_digest([x.to_json() for x in central_commutant_solve(2)])
             == "4f46402c24672cfa")
+
+
+def _matrix_strings(mat):
+    return [[scalar_to_str(x) for x in row] for row in mat.rows]
+
+
+def test_module_matrices_are_frozen():
+    # the spectrum outputs of the benchmark, the convention selection and
+    # c_q itself read these matrices
+    acts = [[_matrix_strings(module(m).act(c_q(n))) for n in range(4)]
+            for m in range(4)]
+    assert _digest(acts) == "75f4567f4f0d620b"
+    braiding = r_action(theta(2), module(2), module(2))
+    assert _digest(_matrix_strings(braiding)) == "d9ceeb2d0bc0019c"
+    coefficients = [[transferred_coefficient(3, i, j).to_json()
+                     for j in range(4)] for i in range(4)]
+    assert _digest(coefficients) == "99854053d6c5c494"
 
 
 # ---------------------------------------------------------------------------
