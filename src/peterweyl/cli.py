@@ -147,6 +147,23 @@ def _candidate_from_file(path: str, group) -> PCandidate:
     return cand
 
 
+def _name_list(text: str, flag: str, known) -> list:
+    """The names in a comma list, repeats dropped, the first one kept.
+
+    A list that names nothing, or names something not in known, is an
+    input error.
+    """
+    names = list(dict.fromkeys(c.strip() for c in text.split(",")
+                               if c.strip()))
+    if not names:
+        raise _InputError("%s names nothing" % flag)
+    for name in names:
+        if name not in known:
+            raise _InputError("%s: unknown name %r (known: %s)"
+                              % (flag, name, ", ".join(known)))
+    return names
+
+
 def _load_candidate(args, group) -> PCandidate:
     if getattr(args, "family", None) and getattr(args, "p_file", None):
         raise _InputError("give either --family or --p-file, not both")
@@ -174,11 +191,7 @@ def _load_candidate(args, group) -> PCandidate:
 def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     cand = _load_candidate(args, group)
-    required = [r.strip() for r in args.require.split(",") if r.strip()]
-    for r in required:
-        if r not in _REQUIRABLE:
-            raise _InputError("unknown predicate %r (known: %s)"
-                              % (r, ", ".join(_REQUIRABLE)))
+    required = _name_list(args.require, "--require", _REQUIRABLE)
     report = membership_report(cand)
     outcome = {
         "A": report.admissible,
@@ -317,16 +330,9 @@ def _uq_run_checks(n: int, names) -> dict:
 def _cmd_uq(args) -> int:
     if args.n < 0:
         raise _InputError("--n must be >= 0, got %d" % args.n)
-    names = list(dict.fromkeys(c.strip() for c in args.check.split(",")
-                               if c.strip()))
-    if not names:
-        raise _InputError("--check names no check")
+    names = _name_list(args.check, "--check", _UQ_CHECKS + ("all",))
     if "all" in names:
         names = list(_UQ_CHECKS)
-    for name in names:
-        if name not in _UQ_CHECKS:
-            raise _InputError("unknown check %r (known: %s, all)"
-                              % (name, ", ".join(_UQ_CHECKS)))
     results = _uq_run_checks(args.n, names)
     passed = all(results.values())
     doc = {

@@ -47,6 +47,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 _IRREP_CACHE: dict = {}
+_CHARACTER_TABLE_CACHE: dict = {}
 
 
 class Rep:
@@ -386,7 +387,7 @@ def irreps(group: Group, field: str = "auto"):
     """
     if field not in ("auto", "rational"):
         raise PreconditionError("unknown field choice %r" % field)
-    key = (id(group), field)
+    key = (group.key, field)
     if key in _IRREP_CACHE:
         return _IRREP_CACHE[key]
     kind = group.descriptor.get("kind")
@@ -415,6 +416,22 @@ def irreps(group: Group, field: str = "auto"):
     out = tuple(out)
     _IRREP_CACHE[key] = out
     return out
+
+
+def character_table(group: Group):
+    """(label, character) of each irreducible, in the order of irreps.
+
+    This is the one place the predicates take characters from.  The table
+    is checked to be square: one character per conjugacy class.
+    """
+    cached = _CHARACTER_TABLE_CACHE.get(group.key)
+    if cached is not None:
+        return cached
+    table = tuple((v.label, v.character()) for v in irreps(group))
+    if len(table) != len(group.conjugacy_classes()):
+        raise InternalError("character count must match class count")
+    _CHARACTER_TABLE_CACHE[group.key] = table
+    return table
 
 
 def trivial_rep(group: Group) -> Rep:
@@ -534,10 +551,8 @@ def decompose_character(grp: Group, chi) -> K0Element:
     The input is any functional on the group; pairing it with each
     irreducible character must produce nonnegative integers.
     """
-    simples = irreps(grp)
     mult = {}
-    for w in simples:
-        chi_w = w.character()
+    for label, chi_w in character_table(grp):
         acc = None
         for g in range(grp.order):
             term = chi(g) * chi_w(grp.inverse(g))
@@ -547,7 +562,7 @@ def decompose_character(grp: Group, chi) -> K0Element:
             raise InternalError(
                 "character pairing produced a non-multiplicity %s" % m)
         if m:
-            mult[w.label] = int(m)
+            mult[label] = int(m)
     return K0Element(grp, mult)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from fractions import Fraction
 
 from .errors import (
@@ -38,8 +37,7 @@ from .errors import (
 from .exact.polysys import Poly, PolySystem, buchberger
 from .groups import Group, diagonal_conjugation_orbits, same_group
 from .hopf import AlgebraElement, TensorElement, convolve
-from .pw import z
-from .reps import irreps
+from .reps import character_table
 from .transfer import (
     PCandidate,
     bicharacter_r,
@@ -165,18 +163,17 @@ def _pair_tables(group: Group, basis: ABasis):
     For the pair (V, W) multiplicativity of the transfer on characters
     reads (sum x_k u_k) * (sum x_l w_l) = sum x_k L_k in kG, with
     u_k = phi(B_k, z_V), w_k = phi(B_k, z_W), L_k = phi(B_k, z_V z_W).
+    The images u and w are taken once per character and shared by pairs.
     """
-    simples = irreps(group)
+    table = character_table(group)
+    images = [[phi(b, chi) for b in basis.elements] for _, chi in table]
     out = []
-    for i, v in enumerate(simples):
-        zv = z(v)
-        for w in simples[i:]:
-            zw = z(w)
+    for i, (lv, zv) in enumerate(table):
+        for j in range(i, len(table)):
+            lw, zw = table[j]
             zvw = convolve(zv, zw)
-            us = [phi(b, zv) for b in basis.elements]
-            ws = [phi(b, zw) for b in basis.elements]
             ls = [phi(b, zvw) for b in basis.elements]
-            out.append((v.label, w.label, us, ws, ls))
+            out.append((lv, lw, images[i], images[j], ls))
     return out
 
 
@@ -280,10 +277,10 @@ class SearchOutcome:
     """Verdict plus everything needed to reproduce and audit the run."""
 
     __slots__ = ("verdict", "candidates", "samples", "survivors", "log",
-                 "certificate", "seconds")
+                 "certificate")
 
     def __init__(self, verdict, candidates=(), samples=0, survivors=0,
-                 log=(), certificate=None, seconds=0.0):
+                 log=(), certificate=None):
         if verdict not in ("SolutionsFound", "NoneFoundBounded",
                            "ProvedInfeasible"):
             raise InternalError("unknown verdict %r" % verdict)
@@ -293,7 +290,6 @@ class SearchOutcome:
         object.__setattr__(self, "survivors", survivors)
         object.__setattr__(self, "log", tuple(log))
         object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "seconds", seconds)
 
     def __setattr__(self, *a):
         raise AttributeError("SearchOutcome is immutable")
@@ -362,7 +358,6 @@ def _require(condition, message):
 def search(group: Group, strategy: str, *, candidate=None, count=None,
            seed=17, degree_cap=6, step_cap=2000) -> SearchOutcome:
     """Search for bijective strongly multiplicative admissible tensors."""
-    t0 = time.monotonic()
     if strategy == "verify_only":
         _require(candidate is not None,
                  "verify_only needs a candidate tensor")
@@ -378,12 +373,10 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         if ok:
             return SearchOutcome(
                 "SolutionsFound", [PCandidate(tens, note)], samples=1,
-                survivors=1, log=("verify_only: all predicates pass",),
-                seconds=time.monotonic() - t0)
+                survivors=1, log=("verify_only: all predicates pass",))
         return SearchOutcome(
             "NoneFoundBounded", samples=1, survivors=0,
-            log=("verify_only: failed " + ", ".join(failed),),
-            seconds=time.monotonic() - t0)
+            log=("verify_only: failed " + ", ".join(failed),))
 
     if strategy == "random_sampling":
         _require(isinstance(count, int) and count > 0,
@@ -426,8 +419,7 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
                                                              survivors))
         verdict = "SolutionsFound" if candidates else "NoneFoundBounded"
         return SearchOutcome(verdict, candidates, samples=count,
-                             survivors=survivors, log=log,
-                             seconds=time.monotonic() - t0)
+                             survivors=survivors, log=log)
 
     if strategy == "groebner":
         _require(isinstance(degree_cap, int) and degree_cap > 0,
@@ -455,9 +447,8 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
             return SearchOutcome(
                 "ProvedInfeasible", certificate={"status": result.status,
                                                  "steps": result.steps},
-                log=log, seconds=time.monotonic() - t0)
-        return SearchOutcome("NoneFoundBounded", log=log,
-                             seconds=time.monotonic() - t0)
+                log=log)
+        return SearchOutcome("NoneFoundBounded", log=log)
 
     raise StrategyError("unknown strategy %r" % strategy)
 

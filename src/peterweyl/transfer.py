@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact.linalg import Infeasible, Matrix, Subspace, solve_linear
-from .exact.scalars import Cyclotomic, as_scalar, scalar_to_str
+from .exact.scalars import as_scalar, scalar_to_str
 from .groups import Group, same_group
 from .hopf import (
     AlgebraElement,
@@ -51,8 +51,8 @@ from .hopf import (
     permute_slots,
     tensor,
 )
-from .pw import translate_span, z
-from .reps import decompose_character, irreps
+from .pw import translate_span
+from .reps import character_table, decompose_character
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -229,12 +229,11 @@ def _multiplicativity(t: TensorElement):
     and (W, V) share one target block.
     """
     grp = t.group
-    simples = irreps(grp)
-    chars = [z(v) for v in simples]
+    labels, chars = zip(*character_table(grp))
     blocks = [_image_block(t, chi) for chi in chars]
     elements = [[AlgebraElement(grp, dict(enumerate(row)))
                  for row in block.basis] for block in blocks]
-    k = len(simples)
+    k = len(chars)
     targets = {(i, j): _image_block(t, convolve(chars[i], chars[j]))
                for i in range(k) for j in range(i, k)}
     witnesses = []
@@ -242,7 +241,7 @@ def _multiplicativity(t: TensorElement):
         target = targets[min(i, j), max(i, j)]
         if not all(target.contains((x * y).to_vector())
                    for x in elements[i] for y in elements[j]):
-            witnesses.append((simples[i].label, simples[j].label))
+            witnesses.append((labels[i], labels[j]))
     return tuple(witnesses), blocks
 
 
@@ -259,11 +258,7 @@ def in_m(p):
 def in_m0(p) -> bool:
     """Is the transfer map an algebra homomorphism on characters into Z?"""
     t = _tensor_of(p)
-    grp = t.group
-    simples = irreps(grp)
-    if len(simples) != len(grp.conjugacy_classes()):
-        raise InternalError("character count must match class count")
-    zs = [z(v) for v in simples]
+    zs = [chi for _, chi in character_table(t.group)]
     imgs = [phi(t, zi) for zi in zs]
     if not all(_is_central(img) for img in imgs):
         return False
@@ -419,43 +414,29 @@ def t_from_r(rplus: TensorElement) -> TensorElement:
     return TensorElement(rplus.group, 4, out)
 
 
-def _bichar_table(descriptor):
-    """Coefficient table of the standard bicharacter of an abelian group."""
-    kind = descriptor.get("kind")
-    if kind == "cyclic":
-        n = descriptor["n"]
-        out = {}
-        for a in range(n):
-            for b in range(n):
-                if n == 1:
-                    val = _F1
-                elif n == 2:
-                    val = _F1 if (a * b) % 2 == 0 else -_F1
-                else:
-                    zk = Cyclotomic.zeta(n, (a * b) % n)
-                    val = zk.as_fraction() if zk.is_rational else zk
-                out[a, b] = val
-        return out, n
-    if kind == "product":
-        ta, na = _bichar_table(descriptor["factors"][0])
-        tb, nb = _bichar_table(descriptor["factors"][1])
-        out = {}
-        for (a1, b1), va in ta.items():
-            for (a2, b2), vb in tb.items():
-                out[a1 * nb + a2, b1 * nb + b2] = va * vb
-        return out, na * nb
-    raise PreconditionError(
-        "bicharacters are built for cyclic groups and their products")
+def _is_cyclic_product(descriptor) -> bool:
+    if descriptor.get("kind") == "product":
+        return all(_is_cyclic_product(f) for f in descriptor["factors"])
+    return descriptor.get("kind") == "cyclic"
 
 
 def bicharacter_r(group: Group) -> TensorElement:
-    """R = (1/|G|) sum of bichar(a, b) a (x) b, an R-matrix for abelian G."""
-    table, n = _bichar_table(group.descriptor)
-    if n != group.order:
-        raise InternalError("bicharacter table size mismatch")
-    scale = Fraction(1, n)
-    return TensorElement(group, 2,
-                         {k: v * scale for k, v in table.items()})
+    """R = (1/|G|) sum of bichar(a, b) a (x) b, an R-matrix for abelian G.
+
+    For a cyclic group, or a product of cyclic groups, irreps lists the
+    characters in the order of the elements they stand for: chi_k(x^a) =
+    zeta^(ka), and a product takes factor pairs in the element order
+    a |H| + b.  So the standard bicharacter, zeta^(ab) factor by factor,
+    is bichar(a, b) = chi_b(a): the character table read as a matrix.
+    """
+    if not _is_cyclic_product(group.descriptor):
+        raise PreconditionError(
+            "bicharacters are built for cyclic groups and their products")
+    scale = Fraction(1, group.order)
+    return TensorElement(group, 2, {
+        (a, b): chi(a) * scale
+        for b, (_, chi) in enumerate(character_table(group))
+        for a in range(group.order)})
 
 
 def unit_p(group: Group) -> PCandidate:
@@ -574,9 +555,9 @@ def mock_pw_decomposition(p) -> dict:
             "decomposition requires a multiplicative tensor")
     if phi_rank(t) != grp.order:
         raise PreconditionError("decomposition requires a bijective transfer")
-    simples = irreps(grp)
+    table = character_table(grp)
     blocks = []
-    for v, sub in zip(simples, subs):
+    for (label, chi), sub in zip(table, subs):
         traces = []
         for g in range(grp.order):
             h = AlgebraElement.basis(grp, g)
@@ -591,17 +572,16 @@ def mock_pw_decomposition(p) -> dict:
             traces.append(trace)
         ad_char = Functional(grp, traces)
         ad_type = decompose_character(grp, ad_char)
-        chi = z(v).values
-        expected = Functional(grp, [chi[g] * chi[grp.inverse(g)]
+        expected = Functional(grp, [chi(g) * chi(grp.inverse(g))
                                     for g in range(grp.order)])
         if ad_char != expected:
             raise InternalError(
                 "adjoint character of the block must match V tensor V-dual")
-        blocks.append({"label": v.label, "dim": sub.dim,
+        blocks.append({"label": label, "dim": sub.dim,
                        "ad_type": dict(sorted(ad_type.multiplicities.items()))})
     # independent and filling: the dimensions add up to that of the sum, |G|
     total = Subspace(grp.order, [row for sub in subs for row in sub.basis])
-    c_vectors = [phi(t, z(v)).to_vector() for v in simples]
+    c_vectors = [phi(t, chi).to_vector() for _, chi in table]
     c_span = Subspace(grp.order, c_vectors)
     center_dim = len(grp.conjugacy_classes())
     return {

@@ -628,23 +628,21 @@ def c_q(n: int) -> UqElement:
     return out
 
 
-def central_commutant_solve(deg: int, k_powers=None):
+def central_commutant_solve(deg: int):
     """Basis of the commutant of {E, F, K} in a bounded monomial span.
 
-    The span holds every monomial F^a K^b E^c with a, c <= deg and b in
-    k_powers (default: |b| <= deg).  Commutation against each generator
-    is one linear system over Q(v); the returned tuple of elements is the
-    canonical nullspace basis.  This is an independent route to central
-    elements: it never looks at modules or braiding data.
+    The span holds every monomial F^a K^b E^c with a, c, |b| <= deg.
+    Commutation against each generator is one linear system over Q(v);
+    the returned tuple of elements is the canonical nullspace basis.
+    This is an independent route to central elements: it never looks at
+    modules or braiding data.
     """
     if deg < 0:
         raise PreconditionError("degree bound must be >= 0, got %d" % deg)
-    if k_powers is None:
-        k_powers = range(-deg, deg + 1)
     monos = sorted(
         (a, b, c)
         for a in range(deg + 1)
-        for b in k_powers
+        for b in range(-deg, deg + 1)
         for c in range(deg + 1)
     )
     gens = [UqElement.e(), UqElement.f(), UqElement.k()]
@@ -691,6 +689,20 @@ def in_span(elems, x: UqElement) -> bool:
     return Subspace(len(keys), rows[:-1]).contains(rows[-1])
 
 
+def _ad_round(basis):
+    """RREF basis of the span of basis, ad E(basis) and ad F(basis)."""
+    grown = list(basis)
+    gens = (UqElement.e(), UqElement.f())
+    for x in basis:
+        for g in gens:
+            y = adjoint(g, x)
+            if y:
+                grown.append(y)
+    keys, rows = _coordinates(grown)
+    return [UqElement({keys[ci]: row[ci] for ci in range(len(keys))})
+            for row in Subspace(len(keys), rows).basis]
+
+
 def joseph_component_check(n: int) -> dict:
     """Verify the block of the algebra carried by module(n).
 
@@ -698,27 +710,19 @@ def joseph_component_check(n: int) -> dict:
     unit multiple of K^n, grows the adjoint orbit of K^n under words of
     length at most 2n in the generators, and reports whether that orbit
     spans the expected (n+1)^2 dimensional block containing c_q(n).
+
+    Only ad E and ad F grow the orbit.  K^n has weight 0, so each round's
+    span is spanned by weight vectors, and ad K only rescales those.
     """
     if n < 0:
         raise PreconditionError("module label must be >= 0, got %d" % n)
     corner = transferred_coefficient(n, 0, 0)
     unit_ok = set(corner.terms) == {(0, n, 0)}
-    gens = [UqElement.e(), UqElement.f(), UqElement.k()]
     target = (n + 1) ** 2
     basis = [UqElement.monomial(0, n, 0)]
     dim = 1
     for _ in range(2 * n):
-        grown = list(basis)
-        for x in basis:
-            for g in gens:
-                y = adjoint(g, x)
-                if y:
-                    grown.append(y)
-        keys, rows = _coordinates(grown)
-        basis = [
-            UqElement({keys[ci]: row[ci] for ci in range(len(keys))})
-            for row in Subspace(len(keys), rows).basis
-        ]
+        basis = _ad_round(basis)
         if len(basis) == dim:
             break
         dim = len(basis)

@@ -8,9 +8,13 @@ Independent oracles used here:
   artifact must feed back through the verify command unchanged.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peterweyl.cli import main
 from peterweyl.groups import cyclic, symmetric
@@ -199,6 +203,28 @@ def test_uq_center_repeated_checks_run_once(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_verify_require_list_must_name_a_predicate(tmp_path, capsys):
+    for names in (",", " , ", ""):
+        out = tmp_path / "none.json"
+        assert main(["verify", "--group", "S3", "--family", "s3",
+                     "--lambda", "0", "--mu", "1", "--require", names,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "input"
+        assert not out.exists()
+
+
+def test_verify_repeated_requirements_collapse(tmp_path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    argv = ["verify", "--group", "S3", "--family", "s3",
+            "--lambda", "0", "--mu", "1"]
+    assert main(argv + ["--require", "M0,A", "--out", str(once)]) == 0
+    assert main(argv + ["--require", "M0, A,M0", "--out", str(twice)]) == 0
+    assert _read(twice)["config"]["require"] == ["A", "M0"]
+    assert twice.read_bytes() == once.read_bytes()
+
+
 def test_groups_list(tmp_path):
     out = tmp_path / "g.json"
     assert main(["groups", "list", "--out", str(out)]) == 0
@@ -260,3 +286,47 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# the comma-list contract of --require and --check
+# ---------------------------------------------------------------------------
+
+_LIST_COMMANDS = {
+    "--require": (["verify", "--group", "S3", "--family", "s3",
+                   "--lambda", "0", "--mu", "1"],
+                  ("A", "M", "M0", "full-rank", "center-image")),
+    "--check": (["uq", "center", "--n", "0"],
+                ("central", "product", "commutant", "component", "all")),
+}
+
+
+@settings(max_examples=12)
+@given(flag=st.sampled_from(sorted(_LIST_COMMANDS)),
+       items=st.lists(st.sampled_from(
+           ["A", "M0", "full-rank", "central", "product", "all", "",
+            " ", "shiny", "a"]), max_size=4),
+       spaced=st.booleans())
+def test_comma_lists_run_or_fail_with_one_json_line(flag, items, spaced):
+    argv, known = _LIST_COMMANDS[flag]
+    text = (", " if spaced else ",").join(items)
+    names = list(dict.fromkeys(i.strip() for i in items if i.strip()))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv + [flag, text])
+    if not names or any(name not in known for name in names):
+        assert code == 2
+        assert stdout.getvalue() == ""
+        err = stderr.getvalue()
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["kind"] == "input"
+    else:
+        assert code in (0, 1)
+        assert stderr.getvalue() == ""
+        config = json.loads(stdout.getvalue())["config"]
+        if flag == "--require":
+            assert config["require"] == sorted(names)
+        else:
+            assert config["check"] == sorted(
+                known[:-1] if "all" in names else names)

@@ -19,11 +19,20 @@ from peterweyl.errors import (
 )
 from peterweyl.exact.linalg import Matrix
 from peterweyl.exact.scalars import Cyclotomic
-from peterweyl.groups import cyclic, dihedral, parse_group, product, symmetric
+from peterweyl.groups import (
+    Group,
+    cyclic,
+    dihedral,
+    from_descriptor,
+    parse_group,
+    product,
+    symmetric,
+)
 from peterweyl.reps import (
     K0Element,
     Rep,
     assert_split,
+    character_table,
     coboundary,
     cocycle_check,
     decompose,
@@ -379,6 +388,35 @@ def test_klein_four_product_irreps():
     for v in reps:
         assert v.dim == 1
         assert all(m.rows[0][0] in (F(1), F(-1)) for m in v.matrices)
+
+
+def test_character_table_is_the_characters_of_the_irreps():
+    tokens = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "S2", "S3", "S4",
+              "D3", "D4", "D5", "D6", "Z2xZ2xZ2")
+    for token in tokens:
+        grp = parse_group(token)
+        table = character_table(grp)
+        assert list(table) == [(v.label, v.character()) for v in irreps(grp)]
+        assert len(table) == len(grp.conjugacy_classes())
+
+
+def test_character_table_of_a_custom_table_is_unavailable():
+    grp = symmetric(3)
+    copy = from_descriptor({"kind": "table",
+                            "table": [list(row) for row in grp.table]})
+    with pytest.raises(PreconditionError):
+        irreps(copy)
+    with pytest.raises(PreconditionError):
+        character_table(copy)
+
+
+def test_equal_groups_share_one_cache_entry():
+    grp = dihedral(4)
+    twin = Group(grp.name, grp.table, generators=grp.generators,
+                 descriptor=grp.descriptor)
+    assert twin is not grp
+    assert irreps(twin) is irreps(grp)
+    assert character_table(twin) is character_table(grp)
 
 
 def test_realizability_errors():

@@ -7,7 +7,9 @@ Independent oracles used here:
 * the linear system behind the factorization solver is re-assembled column
   by column in a separate routine to validate infeasibility certificates;
 * block decompositions are compared against character arithmetic done by
-  hand (frozen dictionaries).
+  hand (frozen dictionaries);
+* the bicharacter R-matrix, which the library reads off the character
+  table, is rebuilt here from roots of unity, factor by factor.
 """
 
 import random
@@ -19,6 +21,7 @@ from peterweyl.errors import (
     InternalError,
     MembershipError,
     PreconditionError,
+    RealizabilityError,
 )
 from peterweyl.exact.linalg import Infeasible, Subspace
 from peterweyl.exact.scalars import Cyclotomic
@@ -33,6 +36,7 @@ from peterweyl.hopf import (
     AlgebraElement,
     Functional,
     TensorElement,
+    tensor_to_json,
     action_invariant_subspace,
     center_subspace,
     class_indicator_subspace,
@@ -382,6 +386,56 @@ def test_v4_bicharacter_values_are_frozen_signs():
             b1, b2 = divmod(b, 2)
             sign = -1 if (a1 * b1 + a2 * b2) % 2 else 1
             assert r.terms[(a, b)] == quarter * sign
+
+
+def _roots_of_unity_bichar(descriptor):
+    """zeta^(ab) on a cyclic group, multiplied factor by factor on a product."""
+    if descriptor["kind"] == "cyclic":
+        n = descriptor["n"]
+        out = {}
+        for a in range(n):
+            for b in range(n):
+                if n == 1:
+                    val = F(1)
+                elif n == 2:
+                    val = F(1) if (a * b) % 2 == 0 else F(-1)
+                else:
+                    zk = Cyclotomic.zeta(n, (a * b) % n)
+                    val = zk.as_fraction() if zk.is_rational else zk
+                out[a, b] = val
+        return out, n
+    ta, na = _roots_of_unity_bichar(descriptor["factors"][0])
+    tb, nb = _roots_of_unity_bichar(descriptor["factors"][1])
+    out = {}
+    for (a1, b1), va in ta.items():
+        for (a2, b2), vb in tb.items():
+            out[a1 * nb + a2, b1 * nb + b2] = va * vb
+    return out, na * nb
+
+
+def test_bicharacter_is_the_character_table():
+    tokens = ["Z%d" % n for n in range(1, 13)] + [
+        "Z2xZ2", "Z2xZ3", "Z3xZ2", "Z2xZ2xZ2", "Z3xZ3", "Z4xZ2", "Z2xZ4",
+        "Z2xZ6", "Z4xZ4", "Z5xZ2", "Z2xZ2xZ3"]
+    for token in tokens:
+        grp = parse_group(token)
+        table, n = _roots_of_unity_bichar(grp.descriptor)
+        want = TensorElement(grp, 2, {k: v * F(1, n)
+                                      for k, v in table.items()})
+        r = bicharacter_r(grp)
+        assert r == want, token
+        assert tensor_to_json(r) == tensor_to_json(want), token
+
+
+def test_bicharacter_needs_cyclic_factors():
+    for token in ("S2", "S3", "D2", "D1xZ2", "Z2xS2"):
+        with pytest.raises(PreconditionError) as e:
+            bicharacter_r(parse_group(token))
+        assert str(e.value) == ("bicharacters are built for cyclic groups "
+                                "and their products")
+    # factors over different cyclotomic fields have no common character table
+    with pytest.raises(RealizabilityError):
+        bicharacter_r(parse_group("Z3xZ4"))
 
 
 def test_z5_bicharacter_entry_is_a_root_of_unity():

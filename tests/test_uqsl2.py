@@ -31,6 +31,7 @@ from peterweyl.uqsl2 import (
     ThetaExpansion,
     UqElement,
     UqTensor,
+    _ad_round,
     adjoint,
     c_q,
     central_commutant_solve,
@@ -526,6 +527,30 @@ def test_joseph_component_check():
         assert report["ad_orbit_dimension"] == (n + 1) ** 2
         assert report["spans_component"]
         assert report["central_element_inside"]
+
+
+def _three_generator_round(basis):
+    """The former orbit growth: add ad E, ad F and ad K of the basis."""
+    grown = list(basis)
+    for x in basis:
+        for g in (E, FF, K):
+            y = adjoint(g, x)
+            if y:
+                grown.append(y)
+    keys = sorted({key for x in grown for key in x.terms})
+    rows = [[x.terms.get(key, RatFun.of(0)) for key in keys] for x in grown]
+    return [UqElement(dict(zip(keys, row)))
+            for row in Subspace(len(keys), rows).basis]
+
+
+def test_ad_k_adds_nothing_to_the_joseph_orbit():
+    # every round's span is spanned by weight vectors, which ad K rescales
+    for n in range(4):
+        ours = oracle = [UqElement.monomial(0, n, 0)]
+        for _ in range(2 * n):
+            ours = _ad_round(ours)
+            oracle = _three_generator_round(oracle)
+            assert ours == oracle
 
 
 def test_tensor_square_of_identity():
