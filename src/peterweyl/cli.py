@@ -14,9 +14,10 @@ partial artifact.  Two runs with the same config produce byte-identical
 artifacts; wall-clock timings are deliberately kept out of them.
 
 Exit codes: 0 when every requested predicate passes, 1 when some
-predicate fails, 2 on bad input (unreadable file, unwritable --out
-path, unparsable token), 3 when a precondition of the requested
-computation is violated.  Errors are reported as one JSON object on
+predicate fails, 2 on bad input (a usage error such as an unknown flag
+or a non-positive cap, an unreadable file, an unwritable --out path, an
+unparsable token), 3 when a precondition of the requested computation
+is violated.  Errors are reported as one JSON object on
 stderr.
 """
 
@@ -54,6 +55,29 @@ _STRATEGIES = {
 
 class _InputError(Exception):
     """Anything wrong with the inputs themselves, distinct from math failures."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors.
+
+    Subcommand parsers are built from the same class, so an error at any
+    level ends in the one-line JSON error of main().
+    """
+
+    def error(self, message):
+        raise _InputError(message)
+
+
+def _positive_int(text: str) -> int:
+    """Argument type of the search caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +421,8 @@ def _add_candidate_options(sub) -> None:
                      help="JSON file holding a two-slot tensor")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def make_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="peterweyl",
         description="Exact transfer-map toolkit for small group algebras "
                     "and quantized sl2.")
@@ -428,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     searchp.add_argument("--group", required=True)
     searchp.add_argument("--strategy", required=True,
                          help="random | groebner | verify-only")
-    searchp.add_argument("--count", type=int,
+    searchp.add_argument("--count", type=_positive_int,
                          help="draw count for the random strategy")
     searchp.add_argument("--seed", type=int, default=17,
                          help="random seed (default: 17)")
-    searchp.add_argument("--degree-cap", type=int, default=6,
+    searchp.add_argument("--degree-cap", type=_positive_int, default=6,
                          help="degree bound for the groebner strategy")
-    searchp.add_argument("--step-cap", type=int, default=2000,
+    searchp.add_argument("--step-cap", type=_positive_int, default=2000,
                          help="pair-step bound for the groebner strategy")
     _add_candidate_options(searchp)
     _add_output_options(searchp)
@@ -468,9 +492,8 @@ def _error_json(kind: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.run(args)
     except _InputError as exc:
         sys.stderr.write(_error_json("input", str(exc)))

@@ -19,6 +19,7 @@ reference route runs instead.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -339,7 +340,6 @@ def _solve_exact(rows, b, want_nullspace):
 # modular fast route
 # ---------------------------------------------------------------------------
 
-_PRIME_LIST: list[int] = []
 _PRIME_COUNT = 220
 
 
@@ -365,14 +365,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes31():
-    if not _PRIME_LIST:
-        c = 2**31 - 1
-        while len(_PRIME_LIST) < _PRIME_COUNT:
-            if _is_prime(c):
-                _PRIME_LIST.append(c)
-            c -= 2
-    return _PRIME_LIST
+@lru_cache(maxsize=None)
+def _primes31() -> tuple:
+    """The _PRIME_COUNT largest primes below 2^31, descending."""
+    primes = []
+    c = 2**31 - 1
+    while len(primes) < _PRIME_COUNT:
+        if _is_prime(c):
+            primes.append(c)
+        c -= 2
+    return tuple(primes)
 
 
 def _rat_reconstruct(a: int, mmod: int):
@@ -471,8 +473,6 @@ def _solve_modular(rows, b, want_nullspace):
                 # primes showing fewer pivots are discarded as bad
                 continue
             used.append((p, track))
-        if structure is None or not used:
-            continue
         result = _assemble_modular(rows, b, int_rows, scales, used, structure,
                                    n, m, want_nullspace)
         if result is not None:

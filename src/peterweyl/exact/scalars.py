@@ -29,6 +29,7 @@ Canonical string forms (used by every serialized artifact):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from ..errors import ParseError, VariantError
@@ -175,15 +176,11 @@ def _pxgcd(a, b):
 # cyclotomic polynomials Phi_n (integer coefficients, computed by division)
 # ---------------------------------------------------------------------------
 
-_CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """Coefficients of Phi_n, ascending, as Fractions."""
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
     # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
     num = [_F0] * (n + 1)
     num[0], num[n] = Fraction(-1), _F1
@@ -194,7 +191,6 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
             if _pdeg(r) >= 0:
                 raise AssertionError("cyclotomic division must be exact")
             poly = q
-    _CYCLO_CACHE[n] = poly
     return poly
 
 

@@ -14,16 +14,20 @@ under products, so a generating set that passes proves the whole table.
 
 Display names come from shortest generator words found by breadth-first
 search, with runs compressed (x*x*x prints as x^3).
+
+A group equals, and hashes as, its canonical descriptor key.  The family
+constructors and ``product`` are memoized with ``functools.lru_cache``, so
+equal inputs give one object and ``cyclic.cache_info()`` reports the hits.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
+from functools import lru_cache
 
 from .errors import InternalError, PreconditionError
-
-_GROUP_CACHE: dict[str, "Group"] = {}
 
 
 class GroupElement:
@@ -66,7 +70,7 @@ class Group:
     """A finite group as an immutable multiplication table."""
 
     __slots__ = ("name", "order", "table", "inv", "elements", "generators",
-                 "gens", "descriptor", "key", "_classes")
+                 "gens", "descriptor", "key")
 
     def __init__(self, name: str, table, element_names=None, generators=(),
                  descriptor=None):
@@ -85,7 +89,6 @@ class Group:
             descriptor = {"kind": "table", "table": [list(r) for r in table]}
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "key", _descriptor_key(descriptor))
-        object.__setattr__(self, "_classes", None)
         self._check_axioms()
         inv = [None] * n
         for i in range(n):
@@ -103,6 +106,14 @@ class Group:
 
     def __setattr__(self, *a):
         raise AttributeError("Group is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Group):
+            return NotImplemented
+        return same_group(self, other)
+
+    def __hash__(self):
+        return hash(self.key)
 
     def _check_axioms(self):
         n, t = self.order, self.table
@@ -204,10 +215,9 @@ class Group:
         return sum(1 for h in range(self.order)
                    if self.table[h][i] == self.table[i][h])
 
+    @lru_cache(maxsize=None)
     def conjugacy_classes(self):
         """Partition of 0..N-1 into conjugation orbits, canonically sorted."""
-        if self._classes is not None:
-            return self._classes
         seen = [False] * self.order
         classes = []
         for x in range(self.order):
@@ -218,9 +228,7 @@ class Group:
                 seen[y] = True
             classes.append(tuple(sorted(orbit)))
         classes.sort(key=lambda c: c[0])
-        out = tuple(classes)
-        object.__setattr__(self, "_classes", out)
-        return out
+        return tuple(classes)
 
     def __repr__(self):
         return "Group(%s, order=%d)" % (self.name, self.order)
@@ -239,71 +247,58 @@ def same_group(a: Group, b: Group) -> bool:
 # concrete families
 # ---------------------------------------------------------------------------
 
-def _cached(descriptor: dict, build):
-    key = _descriptor_key(descriptor)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = build()
-    return _GROUP_CACHE[key]
-
-
+@lru_cache(maxsize=None)
 def symmetric(n: int) -> Group:
     """S_n as permutations in lexicographic order; (sigma tau)(x) = sigma(tau(x))."""
     if not 1 <= n <= 5:
         raise PreconditionError("symmetric(n) supports 1 <= n <= 5")
-
-    def build():
-        import itertools
-        perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
-                 for p in perms]
-        gens = []
-        for k in range(n - 1):
-            s = list(range(n))
-            s[k], s[k + 1] = s[k + 1], s[k]
-            gens.append((index[tuple(s)], "s%d" % (k + 1)))
-        return Group("S%d" % n, table, generators=gens,
-                     descriptor={"kind": "symmetric", "n": n})
-
-    return _cached({"kind": "symmetric", "n": n}, build)
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms]
+             for p in perms]
+    gens = []
+    for k in range(n - 1):
+        s = list(range(n))
+        s[k], s[k + 1] = s[k + 1], s[k]
+        gens.append((index[tuple(s)], "s%d" % (k + 1)))
+    return Group("S%d" % n, table, generators=gens,
+                 descriptor={"kind": "symmetric", "n": n})
 
 
+@lru_cache(maxsize=None)
 def dihedral(n: int) -> Group:
     """D_n of order 2n: rotations r^i and reflections r^i s."""
     if not 1 <= n <= 8:
         raise PreconditionError("dihedral(n) supports 1 <= n <= 8")
 
-    def build():
-        def idx(i, j):
-            return j * n + i
+    def idx(i, j):
+        return j * n + i
 
-        table = [[0] * (2 * n) for _ in range(2 * n)]
-        for i1 in range(n):
-            for j1 in range(2):
-                for i2 in range(n):
-                    for j2 in range(2):
-                        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                        table[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 ^ j2)
-        gens = [(idx(0, 1), "s")] if n == 1 else [(idx(1, 0), "r"),
-                                                  (idx(0, 1), "s")]
-        return Group("D%d" % n, table, generators=gens,
-                     descriptor={"kind": "dihedral", "n": n})
-
-    return _cached({"kind": "dihedral", "n": n}, build)
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for i1 in range(n):
+        for j1 in range(2):
+            for i2 in range(n):
+                for j2 in range(2):
+                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
+                    table[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 ^ j2)
+    gens = [(idx(0, 1), "s")] if n == 1 else [(idx(1, 0), "r"),
+                                              (idx(0, 1), "s")]
+    return Group("D%d" % n, table, generators=gens,
+                 descriptor={"kind": "dihedral", "n": n})
 
 
+@lru_cache(maxsize=None)
 def cyclic(n: int) -> Group:
     """Z_n as residues under addition."""
     if not 1 <= n <= 12:
         raise PreconditionError("cyclic(n) supports 1 <= n <= 12")
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    gens = [(1, "x")] if n > 1 else []
+    return Group("Z%d" % n, table, generators=gens,
+                 descriptor={"kind": "cyclic", "n": n})
 
-    def build():
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        gens = [(1, "x")] if n > 1 else []
-        return Group("Z%d" % n, table, generators=gens,
-                     descriptor={"kind": "cyclic", "n": n})
 
-    return _cached({"kind": "cyclic", "n": n}, build)
+_FAMILIES = {"symmetric": symmetric, "dihedral": dihedral, "cyclic": cyclic}
 
 
 def _named_gens(g: Group):
@@ -315,41 +310,35 @@ def _named_gens(g: Group):
     return g.generators or tuple((gi, g.elements[gi]) for gi in g.gens)
 
 
+@lru_cache(maxsize=None)
 def product(g: Group, h: Group) -> Group:
     """Direct product; element (a, b) has index a*|H| + b."""
     if g.order * h.order > 120:
         raise PreconditionError("product order above 120 is unsupported")
-
-    descriptor = {"kind": "product",
-                  "factors": [g.descriptor, h.descriptor]}
-
-    def build():
-        nh = h.order
-        table = [[g.table[a1][a2] * nh + h.table[b1][b2]
-                  for a2 in range(g.order) for b2 in range(nh)]
-                 for a1 in range(g.order) for b1 in range(nh)]
-        used = {name for _, name in _named_gens(g)}
-        gens = [(gi * nh, name) for gi, name in _named_gens(g)]
-        for hi, name in _named_gens(h):
-            while name in used:
-                name = name + "'"
-            used.add(name)
-            gens.append((hi, name))
-        return Group("%sx%s" % (g.name, h.name), table, generators=gens,
-                     descriptor=descriptor)
-
-    return _cached(descriptor, build)
+    nh = h.order
+    table = [[g.table[a1][a2] * nh + h.table[b1][b2]
+              for a2 in range(g.order) for b2 in range(nh)]
+             for a1 in range(g.order) for b1 in range(nh)]
+    used = {name for _, name in _named_gens(g)}
+    gens = [(gi * nh, name) for gi, name in _named_gens(g)]
+    for hi, name in _named_gens(h):
+        while name in used:
+            name = name + "'"
+        used.add(name)
+        gens.append((hi, name))
+    return Group("%sx%s" % (g.name, h.name), table, generators=gens,
+                 descriptor={"kind": "product",
+                             "factors": [g.descriptor, h.descriptor]})
 
 
 def from_descriptor(desc: dict) -> Group:
     """Rebuild a group from its JSON descriptor."""
     kind = desc.get("kind")
-    if kind == "symmetric":
-        return symmetric(desc["n"])
-    if kind == "dihedral":
-        return dihedral(desc["n"])
-    if kind == "cyclic":
-        return cyclic(desc["n"])
+    if kind in _FAMILIES:
+        # an exact int: the memo would take True or 3.0 for 1 or 3
+        if type(desc["n"]) is not int:
+            raise PreconditionError("descriptor size n must be an integer")
+        return _FAMILIES[kind](desc["n"])
     if kind == "product":
         f = desc["factors"]
         if len(f) != 2:

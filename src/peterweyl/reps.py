@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import (
@@ -45,9 +46,6 @@ from .hopf import Functional
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-_IRREP_CACHE: dict = {}
-_CHARACTER_TABLE_CACHE: dict = {}
 
 
 class Rep:
@@ -378,25 +376,10 @@ def _product_irreps(group: Group):
     return out
 
 
-def irreps(group: Group, field: str = "auto"):
-    """All irreducible representations over the smallest supported field.
-
-    With field="rational" a RealizabilityError is raised (naming the
-    cyclotomic order that would be needed) whenever the rationals do not
-    split the group.
-    """
-    if field not in ("auto", "rational"):
-        raise PreconditionError("unknown field choice %r" % field)
-    key = (group.key, field)
-    if key in _IRREP_CACHE:
-        return _IRREP_CACHE[key]
+@lru_cache(maxsize=None)
+def irreps(group: Group):
+    """All irreducible representations over the smallest supported field."""
     kind = group.descriptor.get("kind")
-    if field == "rational":
-        need = _needed_cyclotomic_order(group.descriptor)
-        if need > 2:
-            raise RealizabilityError(
-                "the rationals do not split %s; cyclotomic(%d) scalars "
-                "are required" % (group.name, need))
     if kind == "symmetric":
         out = _symmetric_irreps(group, group.descriptor["n"])
     elif kind == "dihedral":
@@ -413,24 +396,19 @@ def irreps(group: Group, field: str = "auto"):
         raise InternalError(
             "sum of squared dimensions %d misses the group order %d"
             % (total, group.order))
-    out = tuple(out)
-    _IRREP_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def character_table(group: Group):
     """(label, character) of each irreducible, in the order of irreps.
 
     This is the one place the predicates take characters from.  The table
     is checked to be square: one character per conjugacy class.
     """
-    cached = _CHARACTER_TABLE_CACHE.get(group.key)
-    if cached is not None:
-        return cached
     table = tuple((v.label, v.character()) for v in irreps(group))
     if len(table) != len(group.conjugacy_classes()):
         raise InternalError("character count must match class count")
-    _CHARACTER_TABLE_CACHE[group.key] = table
     return table
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InternalError,
@@ -98,9 +99,6 @@ class ABasis:
         return TensorElement(self.group, 2, terms)
 
 
-_A_BASIS_CACHE: dict = {}
-
-
 def _kernel_dimension(group: Group) -> int:
     """Dimension of the g (x) g commutant, as a count of graph components.
 
@@ -131,11 +129,9 @@ def _kernel_dimension(group: Group) -> int:
     return components
 
 
+@lru_cache(maxsize=None)
 def a_basis(group: Group) -> ABasis:
     """Orbit-sum basis, cross-counted against the commutant dimension."""
-    cached = _A_BASIS_CACHE.get(group.key)
-    if cached is not None:
-        return cached
     orbits = diagonal_conjugation_orbits(group)
     elements = []
     names = []
@@ -148,9 +144,7 @@ def a_basis(group: Group) -> ABasis:
         raise InternalError(
             "commutant dimension %d disagrees with orbit count %d"
             % (kernel_dim, len(orbits)))
-    basis = ABasis(group, orbits, elements, names)
-    _A_BASIS_CACHE[group.key] = basis
-    return basis
+    return ABasis(group, orbits, elements, names)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +171,6 @@ def _pair_tables(group: Group, basis: ABasis):
     return out
 
 
-# group key -> (the assembled system, the pair tables it was read from)
-_CONSTRAINT_CACHE: dict = {}
-
-
 def assemble_constraints(group: Group) -> PolySystem:
     """Quadratic equations for character multiplicativity in orbit coords.
 
@@ -188,9 +178,12 @@ def assemble_constraints(group: Group) -> PolySystem:
     g-coefficient of (sum x_k u_k)(sum x_l w_l) - sum x_k L_k; each product
     u_k w_l is taken once and feeds the equations of all its terms.
     """
-    cached = _CONSTRAINT_CACHE.get(group.key)
-    if cached is not None:
-        return cached[0]
+    return _constraints(group)[0]
+
+
+@lru_cache(maxsize=None)
+def _constraints(group: Group):
+    """(the assembled system, the pair tables it was read from)."""
     basis = a_basis(group)
     d = len(basis)
     n = group.order
@@ -214,9 +207,7 @@ def assemble_constraints(group: Group) -> PolySystem:
             poly = Poly(d, terms)
             if poly:
                 polys.append(poly)
-    system = PolySystem(basis.names, polys)
-    _CONSTRAINT_CACHE[group.key] = (system, pair_tables)
-    return system
+    return PolySystem(basis.names, polys), pair_tables
 
 
 def _combination(coords, elements) -> AlgebraElement:
@@ -384,8 +375,8 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         _require(isinstance(seed, int), "the seed must be an integer")
         basis = a_basis(group)
         system = assemble_constraints(group)
-        # cached by assemble_constraints next to the system built from it
-        pair_tables = _CONSTRAINT_CACHE[group.key][1]
+        # memoized with the system that assemble_constraints just returned
+        pair_tables = _constraints(group)[1]
         log = []
         candidates = []
         structured, slog = _structured_candidates(group)

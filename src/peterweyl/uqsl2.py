@@ -528,37 +528,37 @@ def _intertwines(theta_exp: ThetaExpansion, mv: UqModule, mw: UqModule) -> bool:
                for straight, flipped in _coproduct_actions(mv.n, mw.n))
 
 
-_CONVENTION: list = []
+@lru_cache(maxsize=None)
+def _convention() -> tuple:
+    """(sign, twist) of the one family member that intertwines.
+
+    The sign/twist family c_k = sign^k q^(twist k(k-1)/2) (q - q^-1)^k / [k]!
+    is enumerated; the member turning the braiding into an intertwiner
+    between the coproduct and its opposite is checked on the two smallest
+    nontrivial module squares.
+    """
+    survivors = []
+    for sign in (1, -1):
+        for twist in (1, 0, -1):
+            cand = ThetaExpansion(2, sign, twist)
+            if _intertwines(cand, module(1), module(1)) and _intertwines(
+                cand, module(2), module(2)
+            ):
+                survivors.append((sign, twist))
+    if not survivors:
+        raise ConventionError(
+            "no sign/twist convention intertwines the coproducts"
+        )
+    if len(survivors) > 1:
+        raise InternalError("convention selection is ambiguous: %r" % survivors)
+    return survivors[0]
 
 
 def theta(order: int) -> ThetaExpansion:
-    """Truncated braiding expansion in the convention that intertwines.
-
-    The sign/twist family c_k = sign^k q^(twist k(k-1)/2) (q - q^-1)^k / [k]!
-    is enumerated once; the single member turning the braiding into an
-    intertwiner between the coproduct and its opposite (checked on the two
-    smallest nontrivial module squares) is kept.
-    """
+    """Truncated braiding expansion in the convention of _convention()."""
     if order < 0:
         raise PreconditionError("expansion order must be >= 0, got %d" % order)
-    if not _CONVENTION:
-        survivors = []
-        for sign in (1, -1):
-            for twist in (1, 0, -1):
-                cand = ThetaExpansion(2, sign, twist)
-                if _intertwines(cand, module(1), module(1)) and _intertwines(
-                    cand, module(2), module(2)
-                ):
-                    survivors.append((sign, twist))
-        if not survivors:
-            raise ConventionError(
-                "no sign/twist convention intertwines the coproducts"
-            )
-        if len(survivors) > 1:
-            raise InternalError("convention selection is ambiguous: %r" % survivors)
-        _CONVENTION.append(survivors[0])
-    sign, twist = _CONVENTION[0]
-    return ThetaExpansion(order, sign, twist)
+    return ThetaExpansion(order, *_convention())
 
 
 def validate_theta(mv: UqModule, mw: UqModule) -> bool:
@@ -590,16 +590,11 @@ def transferred_coefficient(n: int, i: int, j: int) -> UqElement:
     if not (0 <= i <= n and 0 <= j <= n):
         raise PreconditionError("basis indices out of range")
     mi, mj = mod.weights[i], mod.weights[j]
-    if (mi + mj) % 2:
-        raise InternalError("weight parity broken for (%d, %d)" % (i, j))
     out = UqElement.zero()
     for l in range(max(0, i - j), i + 1):
+        # k lies in [0, j], and F^k E^l sends v_i to a nonzero multiple of v_j
         k = l - (i - j)
-        if k < 0 or k > n:
-            continue
         gamma = mod.act(UqElement.monomial(k, 0, l))[j, i]
-        if not gamma:
-            continue
         coeff = (
             theta_exp.coeffs[k]
             * theta_exp.coeffs[l]

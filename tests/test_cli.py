@@ -11,6 +11,8 @@ Independent oracles used here:
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -330,3 +332,63 @@ def test_comma_lists_run_or_fail_with_one_json_line(flag, items, spaced):
         else:
             assert config["check"] == sorted(
                 known[:-1] if "all" in names else names)
+
+
+# ---------------------------------------------------------------------------
+# the usage-error part of the exit-code contract
+# ---------------------------------------------------------------------------
+
+_FAMILY = ["--family", "s3", "--lambda", "1", "--mu", "1"]
+_COMMANDS = {
+    "verify": ["verify", "--group", "S3"] + _FAMILY,
+    "decompose": ["decompose", "--group", "S3"] + _FAMILY,
+    "search": ["search", "--group", "S3", "--strategy", "random",
+               "--count", "3"],
+    "uq": ["uq", "center", "--n", "0"],
+    "groups": ["groups", "list"],
+}
+_NOT_INTS = st.one_of(st.sampled_from(["1.5", "3e2", "0x4", "seven", "2 3"]),
+                      st.text("abz.", min_size=1))
+
+
+def _with_group(token):
+    return st.sampled_from(["verify", "decompose", "search"]).map(
+        lambda cmd: [token if a == "S3" else a for a in _COMMANDS[cmd]])
+
+
+_BAD_ARGVS = st.one_of(
+    # an integer option given something that is not an integer
+    st.tuples(st.sampled_from(["--count", "--seed", "--degree-cap",
+                               "--step-cap"]), _NOT_INTS).map(
+        lambda fv: _COMMANDS["search"] + list(fv)),
+    _NOT_INTS.map(lambda v: ["uq", "center", "--n", v]),
+    # a search cap that is not positive, and a negative module label
+    st.tuples(st.sampled_from(["--count", "--degree-cap", "--step-cap"]),
+              st.integers(max_value=0)).map(
+        lambda fv: _COMMANDS["search"] + [fv[0], str(fv[1])]),
+    st.integers(max_value=-1).map(lambda n: ["uq", "center", "--n", str(n)]),
+    # an unknown flag on any command, and an unknown command
+    st.tuples(st.sampled_from(sorted(_COMMANDS)), st.text("abc")).map(
+        lambda cs: _COMMANDS[cs[0]] + ["--x-" + cs[1]]),
+    st.text("qwjk", min_size=1).map(lambda cmd: [cmd]),
+    # a group token that names no supported group
+    st.one_of(st.sampled_from(["Q8", "S6", "Z13", "D9", "Z2x", "k4", "x"]),
+              st.text("QKz0x", min_size=1)).flatmap(_with_group),
+)
+
+
+@settings(max_examples=30)
+@given(argv=_BAD_ARGVS)
+def test_usage_errors_exit_two_with_one_json_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "artifact.json")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", out])
+        assert code == 2, argv
+        assert stdout.getvalue() == ""
+        err = stderr.getvalue()
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err)["error"]["kind"] in ("input", "parse")
+        assert os.listdir(tmp) == []

@@ -17,7 +17,7 @@ from peterweyl.groups import (
     symmetric,
 )
 from peterweyl.hopf import AlgebraElement, Functional, TensorElement
-from peterweyl.reps import K0Element, trivial_rep
+from peterweyl.reps import K0Element, character_table, trivial_rep
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,36 @@ def test_equal_loads_hash_equal():
     for x, y in pairs:
         assert x == y
         assert len({x, y}) == 1
+
+
+def test_groups_equal_by_descriptor_key():
+    desc = {"kind": "table", "table": [list(r) for r in symmetric(3).table]}
+    a, b = from_descriptor(desc), from_descriptor(desc)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    z4 = [list(r) for r in cyclic(4).table]
+    assert from_descriptor({"kind": "table", "table": klein}) != \
+        from_descriptor({"kind": "table", "table": z4})
+    assert symmetric(3) != cyclic(6) and symmetric(3) != dihedral(3)
+    # the constructors are memoized, so equal inputs give the same object
+    assert parse_group("S3xZ2") is product(symmetric(3), cyclic(2))
+    assert from_descriptor(dihedral(4).descriptor) is dihedral(4)
+    g = dihedral(5)
+    twin = Group(g.name, g.table, generators=g.generators,
+                 descriptor=g.descriptor)
+    character_table(g)
+    hits = character_table.cache_info().hits
+    assert character_table(twin) is character_table(g)
+    assert character_table.cache_info().hits == hits + 2
+
+
+def test_family_descriptor_size_must_be_an_int():
+    for n in (True, 2.0, "2", None):
+        with pytest.raises(PreconditionError):
+            from_descriptor({"kind": "cyclic", "n": n})
+    assert from_descriptor({"kind": "cyclic", "n": 1}).key == \
+        '{"kind": "cyclic", "n": 1}'
 
 
 def test_group_elements_api():
