@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DimensionError
-from .scalars import Cyclotomic, RatFun, as_scalar
+from .scalars import Cyclotomic, RatFun, as_scalar, collect
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -32,16 +32,18 @@ def _degrevlex_key(mono):
 
 
 class Poly:
-    """Polynomial in a fixed number of variables with exact coefficients."""
+    """Polynomial in a fixed number of variables with exact coefficients.
+
+    ``terms`` is a mapping or an iterable of (exponent tuple, coefficient)
+    pairs; the coefficients of a repeated monomial are summed.
+    """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None):
+    def __init__(self, nvars: int, terms=()):
         clean = {}
-        for mono, c in (terms or {}).items():
+        for mono, c in collect(terms).items():
             c = as_scalar(c)
-            if not c:
-                continue
             if len(mono) != nvars:
                 raise DimensionError("monomial arity mismatch")
             clean[tuple(int(e) for e in mono)] = c
@@ -82,14 +84,7 @@ class Poly:
             return NotImplemented
         if other.nvars != self.nvars:
             raise DimensionError("variable count mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _F0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -112,16 +107,10 @@ class Poly:
             return NotImplemented
         if other.nvars != self.nvars:
             raise DimensionError("variable count mismatch")
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, _F0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, [
+            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()])
 
     __rmul__ = __mul__
 
@@ -145,6 +134,10 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant compares equal to its scalar, so it hashes as one
+        const = (0,) * self.nvars
+        if self.terms.keys() <= {const}:
+            return hash(self.terms.get(const, _F0))
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def evaluate(self, values):

@@ -588,6 +588,23 @@ def promote_like(x, exemplar):
     raise VariantError("unsupported exemplar %r" % type(exemplar).__name__)
 
 
+def collect(terms) -> dict:
+    """Sum the coefficients of equal keys and drop the zero sums.
+
+    ``terms`` is a mapping or an iterable of (key, coefficient) pairs; the
+    keys of the result keep the order in which they first occur.  This is
+    the one accumulator behind every sparse element of the package.
+    """
+    if hasattr(terms, "items"):
+        terms = terms.items()
+    out: dict = {}
+    get = out.get
+    for key, c in terms:
+        s = get(key)
+        out[key] = c if s is None else s + c
+    return {key: c for key, c in out.items() if c}
+
+
 def _frac_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 

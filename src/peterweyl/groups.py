@@ -333,6 +333,8 @@ def product(g: Group, h: Group) -> Group:
 
 def from_descriptor(desc: dict) -> Group:
     """Rebuild a group from its JSON descriptor."""
+    if not isinstance(desc, dict):
+        raise PreconditionError("group descriptor must be a JSON object")
     kind = desc.get("kind")
     if kind in _FAMILIES:
         # an exact int: the memo would take True or 3.0 for 1 or 3

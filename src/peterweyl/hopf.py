@@ -29,36 +29,42 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, ParseError, PreconditionError
 from .exact.linalg import Subspace, nullspace
-from .exact.scalars import as_scalar, scalar_from_str, scalar_to_str, unify
+from .exact.scalars import (
+    as_scalar,
+    collect,
+    scalar_from_str,
+    scalar_to_str,
+    unify,
+)
 from .groups import Group, GroupElement, from_descriptor, same_group
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _clean_terms(terms):
-    vals = unify([as_scalar(c) for c in terms.values()])
-    out = {}
-    for k, c in zip(terms.keys(), vals):
-        if c:
-            out[k] = c
-    return out
+def _clean_terms(terms) -> dict:
+    terms = collect(terms)
+    return dict(zip(terms, unify(terms.values())))
 
 
 class AlgebraElement:
-    """A sparse element of kG: map from group-element index to scalar."""
+    """A sparse element of kG: map from group-element index to scalar.
+
+    ``terms`` is a mapping or an iterable of (index, coefficient) pairs;
+    the coefficients of a repeated index are summed.
+    """
 
     __slots__ = ("group", "terms")
 
-    def __init__(self, group: Group, terms=None):
-        terms = dict(terms or {})
+    def __init__(self, group: Group, terms=()):
+        terms = _clean_terms(terms)
         for i in terms:
             if not 0 <= i < group.order:
                 raise PreconditionError("term index out of range")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", _clean_terms(terms))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
@@ -91,10 +97,8 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._require_same(other)
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            out[i] = out.get(i, 0) + c
-        return AlgebraElement(self.group, out)
+        return AlgebraElement(self.group, [*self.terms.items(),
+                                           *other.terms.items()])
 
     def __neg__(self):
         return AlgebraElement(self.group, {i: -c for i, c in self.terms.items()})
@@ -108,12 +112,10 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._require_same(other)
             table = self.group.table
-            out = {}
-            for i, a in self.terms.items():
-                for j, b in other.terms.items():
-                    k = table[i][j]
-                    out[k] = out.get(k, 0) + a * b
-            return AlgebraElement(self.group, out)
+            return AlgebraElement(self.group, [
+                (table[i][j], a * b)
+                for i, a in self.terms.items()
+                for j, b in other.terms.items()])
         s = as_scalar(other)
         return AlgebraElement(self.group,
                               {i: c * s for i, c in self.terms.items()})
@@ -174,14 +176,18 @@ def _zero_like(values):
 
 
 class TensorElement:
-    """A sparse element of H^(x)k: map from k-tuples of indices to scalars."""
+    """A sparse element of H^(x)k: map from k-tuples of indices to scalars.
+
+    ``terms`` is a mapping or an iterable of (index tuple, coefficient)
+    pairs; the coefficients of a repeated tuple are summed.
+    """
 
     __slots__ = ("group", "arity", "terms")
 
-    def __init__(self, group: Group, arity: int, terms=None):
+    def __init__(self, group: Group, arity: int, terms=()):
         if arity < 1:
             raise PreconditionError("tensor arity must be at least 1")
-        terms = dict(terms or {})
+        terms = _clean_terms(terms)
         for key in terms:
             if len(key) != arity:
                 raise DimensionError("tensor key arity mismatch")
@@ -189,8 +195,7 @@ class TensorElement:
                 raise PreconditionError("tensor index out of range")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms",
-                           {tuple(k): c for k, c in _clean_terms(terms).items()})
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("TensorElement is immutable")
@@ -209,10 +214,8 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._require_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorElement(self.group, self.arity, out)
+        return TensorElement(self.group, self.arity, [*self.terms.items(),
+                                                      *other.terms.items()])
 
     def __neg__(self):
         return TensorElement(self.group, self.arity,
@@ -227,12 +230,10 @@ class TensorElement:
         if isinstance(other, TensorElement):
             self._require_compatible(other)
             table = self.group.table
-            out = {}
-            for k1, a in self.terms.items():
-                for k2, b in other.terms.items():
-                    k = tuple(table[i][j] for i, j in zip(k1, k2))
-                    out[k] = out.get(k, 0) + a * b
-            return TensorElement(self.group, self.arity, out)
+            return TensorElement(self.group, self.arity, [
+                (tuple(table[i][j] for i, j in zip(k1, k2)), a * b)
+                for k1, a in self.terms.items()
+                for k2, b in other.terms.items()])
         s = as_scalar(other)
         return TensorElement(self.group, self.arity,
                              {k: c * s for k, c in self.terms.items()})
@@ -298,26 +299,30 @@ def to_algebra(x: TensorElement) -> AlgebraElement:
 # slot operations on tensors (everything a group-like basis makes cheap)
 # ---------------------------------------------------------------------------
 
+def remap(x: TensorElement, arity: int, key) -> TensorElement:
+    """The tensor in ``arity`` slots with c at key(k) for each term c at k.
+
+    Terms sent to one index tuple are summed, so every slot operation that
+    a group-like basis makes cheap is one call.
+    """
+    return TensorElement(x.group, arity,
+                         ((key(k), c) for k, c in x.terms.items()))
+
+
 def apply_delta(x: TensorElement, slot: int) -> TensorElement:
     """Comultiply one slot: ... g ... becomes ... g g ... (arity grows by 1)."""
     if not 0 <= slot < x.arity:
         raise DimensionError("slot out of range")
-    out = {}
-    for k, c in x.terms.items():
-        key = k[:slot] + (k[slot], k[slot]) + k[slot + 1:]
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, x.arity + 1, out)
+    return remap(x, x.arity + 1,
+                 lambda k: k[:slot] + (k[slot], k[slot]) + k[slot + 1:])
 
 
 def apply_antipode(x: TensorElement, slot: int) -> TensorElement:
     if not 0 <= slot < x.arity:
         raise DimensionError("slot out of range")
     inv = x.group.inv
-    out = {}
-    for k, c in x.terms.items():
-        key = k[:slot] + (inv[k[slot]],) + k[slot + 1:]
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, x.arity, out)
+    return remap(x, x.arity,
+                 lambda k: k[:slot] + (inv[k[slot]],) + k[slot + 1:])
 
 
 def apply_counit(x: TensorElement, slot: int):
@@ -329,11 +334,7 @@ def apply_counit(x: TensorElement, slot: int):
         for c in x.terms.values():
             acc = acc + c
         return acc
-    out = {}
-    for k, c in x.terms.items():
-        key = k[:slot] + k[slot + 1:]
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, x.arity - 1, out)
+    return remap(x, x.arity - 1, lambda k: k[:slot] + k[slot + 1:])
 
 
 def multiply_adjacent(x: TensorElement, slot: int) -> TensorElement:
@@ -341,11 +342,8 @@ def multiply_adjacent(x: TensorElement, slot: int) -> TensorElement:
     if not 0 <= slot < x.arity - 1:
         raise DimensionError("slot out of range")
     table = x.group.table
-    out = {}
-    for k, c in x.terms.items():
-        key = k[:slot] + (table[k[slot]][k[slot + 1]],) + k[slot + 2:]
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, x.arity - 1, out)
+    return remap(x, x.arity - 1, lambda k: k[:slot]
+                 + (table[k[slot]][k[slot + 1]],) + k[slot + 2:])
 
 
 def permute_slots(x: TensorElement, perm) -> TensorElement:
@@ -353,11 +351,7 @@ def permute_slots(x: TensorElement, perm) -> TensorElement:
     perm = tuple(perm)
     if sorted(perm) != list(range(x.arity)):
         raise DimensionError("not a permutation of the slots")
-    out = {}
-    for k, c in x.terms.items():
-        key = tuple(k[p] for p in perm)
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, x.arity, out)
+    return remap(x, x.arity, lambda k: tuple(k[p] for p in perm))
 
 
 def embed(x: TensorElement, arity: int, slots) -> TensorElement:
@@ -367,14 +361,14 @@ def embed(x: TensorElement, arity: int, slots) -> TensorElement:
         raise DimensionError("need one distinct target slot per factor")
     if any(not 0 <= s < arity for s in slots):
         raise DimensionError("slot out of range")
-    out = {}
-    for k, c in x.terms.items():
+
+    def place(k):
         key = [0] * arity
         for s, i in zip(slots, k):
             key[s] = i
-        key = tuple(key)
-        out[key] = out.get(key, 0) + c
-    return TensorElement(x.group, arity, out)
+        return tuple(key)
+
+    return remap(x, arity, place)
 
 
 def contract(x: TensorElement, xi: "Functional", slot: int):
@@ -388,14 +382,9 @@ def contract(x: TensorElement, xi: "Functional", slot: int):
         for k, c in x.terms.items():
             acc = acc + c * xi.values[k[0]]
         return acc
-    out = {}
-    for k, c in x.terms.items():
-        s = c * xi.values[k[slot]]
-        if not s:
-            continue
-        key = k[:slot] + k[slot + 1:]
-        out[key] = out.get(key, 0) + s
-    return TensorElement(x.group, x.arity - 1, out)
+    return TensorElement(x.group, x.arity - 1, (
+        (k[:slot] + k[slot + 1:], c * xi.values[k[slot]])
+        for k, c in x.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +531,9 @@ def _act_basis(action: str, g: int, b):
             f = _index_map(action, grp.inv[g], grp)
         return Functional(grp, [b.values[j] for j in f])
     f = _index_map(action, g, grp)
-    out = {}
     if isinstance(b, AlgebraElement):
-        for i, c in b.terms.items():
-            out[f[i]] = out.get(f[i], 0) + c
-        return AlgebraElement(grp, out)
-    for k, c in b.terms.items():
-        key = tuple(f[i] for i in k)
-        out[key] = out.get(key, 0) + c
-    return TensorElement(grp, b.arity, out)
+        return AlgebraElement(grp, ((f[i], c) for i, c in b.terms.items()))
+    return remap(b, b.arity, lambda k: tuple(f[i] for i in k))
 
 
 def act(action: str, h, b):
@@ -579,12 +562,9 @@ def orbit_sum(x: TensorElement) -> TensorElement:
     if x.arity != 2:
         raise DimensionError("orbit sums are defined for two tensor factors")
     grp = x.group
-    out = {}
-    for g in range(grp.order):
-        for (a, b), c in x.terms.items():
-            key = (grp.conjugate(g, a), grp.conjugate(g, b))
-            out[key] = out.get(key, 0) + c
-    return TensorElement(grp, 2, out)
+    return TensorElement(grp, 2, (
+        ((grp.conjugate(g, a), grp.conjugate(g, b)), c)
+        for g in range(grp.order) for (a, b), c in x.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +662,17 @@ def tensor_to_json(x: TensorElement) -> dict:
 
 def tensor_from_json(obj: dict) -> TensorElement:
     group = from_descriptor(obj["group"])
-    arity = int(obj["arity"])
-    terms = {}
-    for entry in obj["terms"]:
-        key = tuple(int(i) for i in entry[:-1])
-        if len(key) != arity:
-            raise DimensionError("tensor key arity mismatch")
-        c = scalar_from_str(entry[-1])
-        terms[key] = terms.get(key, 0) + c
-    return TensorElement(group, arity, terms)
+    arity = obj["arity"]
+    if type(arity) is not int:
+        raise PreconditionError("tensor arity must be an integer")
+    return TensorElement(group, arity, map(_term_from_json, obj["terms"]))
+
+
+def _term_from_json(entry) -> tuple:
+    """One serialized term [i1, ..., ik, "coefficient"] as (key, scalar)."""
+    key, c = tuple(entry[:-1]), entry[-1]
+    if any(type(i) is not int for i in key):
+        raise PreconditionError("tensor indices must be integers")
+    if not isinstance(c, str):
+        raise ParseError("tensor coefficients must be strings")
+    return key, scalar_from_str(c)

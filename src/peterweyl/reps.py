@@ -38,6 +38,7 @@ from .exact.scalars import (
     Cyclotomic,
     VariantError,
     as_scalar,
+    collect,
     scalar_from_str,
     scalar_to_str,
 )
@@ -465,18 +466,18 @@ def isomorphic(v: Rep, w: Rep) -> bool:
 
 
 class K0Element:
-    """A multiplicity vector over the irreducible labels of one group."""
+    """A multiplicity vector over the irreducible labels of one group.
+
+    ``multiplicities`` is a mapping or an iterable of (label, multiplicity)
+    pairs; the multiplicities of a repeated label are summed.
+    """
 
     __slots__ = ("group", "multiplicities")
 
-    def __init__(self, group: Group, multiplicities: dict):
-        clean = {}
-        for label, m in multiplicities.items():
-            m = int(m)
-            if m:
-                clean[label] = m
+    def __init__(self, group: Group, multiplicities):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "multiplicities", clean)
+        object.__setattr__(self, "multiplicities", {
+            label: int(m) for label, m in collect(multiplicities).items()})
 
     def __setattr__(self, *a):
         raise AttributeError("K0Element is immutable")
@@ -486,10 +487,8 @@ class K0Element:
             return NotImplemented
         if not same_group(self.group, other.group):
             raise PreconditionError("classes over different groups")
-        out = dict(self.multiplicities)
-        for k, m in other.multiplicities.items():
-            out[k] = out.get(k, 0) + m
-        return K0Element(self.group, out)
+        return K0Element(self.group, [*self.multiplicities.items(),
+                                      *other.multiplicities.items()])
 
     def __eq__(self, other):
         if not isinstance(other, K0Element):

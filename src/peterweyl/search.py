@@ -193,16 +193,14 @@ def _constraints(group: Group):
     pair_tables = _pair_tables(group, basis)
     polys = []
     for _, _, us, ws, ls in pair_tables:
-        equations = [{} for _ in range(n)]
+        equations = [[] for _ in range(n)]
         for k in range(d):
             for l in range(d):
                 mono = quadratic[k][l]
                 for g, c in (us[k] * ws[l]).terms.items():
-                    terms = equations[g]
-                    terms[mono] = terms.get(mono, 0) + c
+                    equations[g].append((mono, c))
             for g, c in ls[k].terms.items():
-                terms = equations[g]
-                terms[linear[k]] = terms.get(linear[k], 0) - c
+                equations[g].append((linear[k], -c))
         for terms in equations:
             poly = Poly(d, terms)
             if poly:
@@ -212,12 +210,9 @@ def _constraints(group: Group):
 
 def _combination(coords, elements) -> AlgebraElement:
     """sum x_k e_k for algebra elements e_k, skipping zero coordinates."""
-    out: dict = {}
-    for x, e in zip(coords, elements):
-        if x:
-            for i, c in e.terms.items():
-                out[i] = out.get(i, 0) + x * c
-    return AlgebraElement(elements[0].group, out)
+    return AlgebraElement(elements[0].group, (
+        (i, x * c) for x, e in zip(coords, elements) if x
+        for i, c in e.terms.items()))
 
 
 def _violates_fast(point, pair_tables) -> bool:

@@ -42,6 +42,7 @@ from .hopf import (
     Functional,
     TensorElement,
     act,
+    apply_antipode,
     apply_delta,
     class_indicator_subspace,
     convolve,
@@ -49,6 +50,7 @@ from .hopf import (
     multiply_adjacent,
     orbit_sum,
     permute_slots,
+    remap,
     tensor,
 )
 from .pw import translate_span
@@ -102,12 +104,9 @@ def phi(p, xi: Functional) -> AlgebraElement:
     t = _tensor_of(p)
     if not same_group(t.group, xi.group):
         raise PreconditionError("functional and tensor over different groups")
-    out: dict = {}
-    for (a, b), c in t.terms.items():
-        v = xi.values[a]
-        if v:
-            out[b] = out.get(b, 0) + c * v
-    return AlgebraElement(t.group, out)
+    return AlgebraElement(t.group, ((b, c * xi.values[a])
+                                    for (a, b), c in t.terms.items()
+                                    if xi.values[a]))
 
 
 def phi_matrix(p) -> Matrix:
@@ -128,14 +127,6 @@ def phi_rank(p) -> int:
 # admissibility (three equivalent slotwise conditions)
 # ---------------------------------------------------------------------------
 
-def _map_slots(t: TensorElement, f1, f2) -> TensorElement:
-    out: dict = {}
-    for (a, b), c in t.terms.items():
-        key = (f1(a), f2(b))
-        out[key] = out.get(key, 0) + c
-    return TensorElement(t.group, 2, out)
-
-
 def in_a_conditions(p):
     """The three admissibility conditions, each checked on all generators.
 
@@ -155,14 +146,13 @@ def in_a_conditions(p):
                     AlgebraElement.basis(grp, gi))
         if t * gg != gg * t:
             ok_product = False
-        lhs = _map_slots(t, lambda a: a, lambda b: mul(gi, b))
-        rhs = _map_slots(t, lambda a: mul(inv(gi), mul(a, gi)),
-                         lambda b: mul(b, gi))
+        lhs = remap(t, 2, lambda k: (k[0], mul(gi, k[1])))
+        rhs = remap(t, 2, lambda k: (mul(inv(gi), mul(k[0], gi)),
+                                     mul(k[1], gi)))
         if lhs != rhs:
             ok_translation = False
-        lhs2 = _map_slots(t, lambda a: mul(inv(gi), mul(a, gi)), lambda b: b)
-        rhs2 = _map_slots(t, lambda a: a,
-                          lambda b: mul(gi, mul(b, inv(gi))))
+        lhs2 = remap(t, 2, lambda k: (mul(inv(gi), mul(k[0], gi)), k[1]))
+        rhs2 = remap(t, 2, lambda k: (k[0], mul(gi, mul(k[1], inv(gi)))))
         if lhs2 != rhs2:
             ok_adjoint = False
     return ok_product, ok_translation, ok_adjoint
@@ -323,13 +313,9 @@ def check_t_normalized(t4: TensorElement) -> bool:
     """(m^op (x) m^op)(T) = 1 (x) 1."""
     if t4.arity != 4:
         raise PreconditionError("T must have four slots")
-    grp = t4.group
-    mul = grp.mul
-    out: dict = {}
-    for (a, b, c, d), coeff in t4.terms.items():
-        key = (mul(b, a), mul(d, c))
-        out[key] = out.get(key, 0) + coeff
-    return TensorElement(grp, 2, out) == TensorElement.unit(grp, 2)
+    mul = t4.group.mul
+    return (remap(t4, 2, lambda k: (mul(k[1], k[0]), mul(k[3], k[2])))
+            == TensorElement.unit(t4.group, 2))
 
 
 def phi_mult_identity_check(p, t4: TensorElement, xi: Functional,
@@ -406,12 +392,7 @@ def p_from_r(rplus: TensorElement, rminus: TensorElement,
 def t_from_r(rplus: TensorElement) -> TensorElement:
     """T = (S (x) S^2 (x) 1 (x) 1)((R+)_13 (R+)_23), four slots."""
     big = embed(rplus, 4, (0, 2)) * embed(rplus, 4, (1, 2))
-    inv = rplus.group.inv
-    out: dict = {}
-    for (a, b, c, d), coeff in big.terms.items():
-        key = (inv[a], b, c, d)
-        out[key] = out.get(key, 0) + coeff
-    return TensorElement(rplus.group, 4, out)
+    return apply_antipode(big, 0)
 
 
 def _is_cyclic_product(descriptor) -> bool:

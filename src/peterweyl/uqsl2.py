@@ -37,7 +37,7 @@ from .errors import (
     VariantError,
 )
 from .exact.linalg import Matrix, Subspace, nullspace
-from .exact.scalars import RatFun, scalar_to_str
+from .exact.scalars import RatFun, collect, scalar_to_str
 
 _V = RatFun.gen()
 _R1 = RatFun.of(1)
@@ -87,15 +87,6 @@ def _coeff(x) -> RatFun:
     raise VariantError("coefficients live in Q(v), got %r" % (x,))
 
 
-def _acc(terms: dict, key, value) -> None:
-    cur = terms.get(key)
-    cur = value if cur is None else cur + value
-    if cur:
-        terms[key] = cur
-    elif key in terms:
-        del terms[key]
-
-
 # ---------------------------------------------------------------------------
 # normal-form rewriting
 # ---------------------------------------------------------------------------
@@ -115,36 +106,36 @@ def _rmul_e(terms: dict) -> dict:
 
 
 def _rmul_k(terms: dict, step: int) -> dict:
-    out: dict = {}
-    for (a, b, c), v in terms.items():
-        _acc(out, (a, b + step, c), v * qpow(-2 * step * c))
-    return out
+    return {(a, b + step, c): v * qpow(-2 * step * c)
+            for (a, b, c), v in terms.items()}
 
 
 def _rmul_f(terms: dict) -> dict:
-    out: dict = {}
+    pairs = []
     for (a, b, c), v in terms.items():
-        _acc(out, (a + 1, b, c), v * qpow(-2 * b))
+        pairs.append(((a + 1, b, c), v * qpow(-2 * b)))
         if c:
             w = v * qint(c) / _QDIFF
-            _acc(out, (a, b + 1, c - 1), w * qpow(-(c - 1)))
-            _acc(out, (a, b - 1, c - 1), -w * qpow(c - 1))
-    return out
+            pairs.append(((a, b + 1, c - 1), w * qpow(-(c - 1))))
+            pairs.append(((a, b - 1, c - 1), -w * qpow(c - 1)))
+    return collect(pairs)
 
 
 class UqElement:
-    """An element in PBW normal form: (a, b, c) -> coefficient of F^a K^b E^c."""
+    """An element in PBW normal form: (a, b, c) -> coefficient of F^a K^b E^c.
+
+    ``terms`` is a mapping or an iterable of ((a, b, c), coefficient)
+    pairs; the coefficients of a repeated monomial are summed.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
         clean: dict = {}
-        for (a, b, c), v in (terms or {}).items():
+        for (a, b, c), v in collect(terms).items():
             if a < 0 or c < 0:
                 raise PreconditionError("negative E or F exponent: %r" % ((a, b, c),))
-            v = _coeff(v)
-            if v:
-                _acc(clean, (int(a), int(b), int(c)), v)
+            clean[int(a), int(b), int(c)] = _coeff(v)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
@@ -185,10 +176,7 @@ class UqElement:
     def __add__(self, other):
         if not isinstance(other, UqElement):
             return NotImplemented
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            _acc(out, key, v)
-        return UqElement(out)
+        return UqElement([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, UqElement):
@@ -200,9 +188,9 @@ class UqElement:
 
     def __mul__(self, other):
         if isinstance(other, UqElement):
-            total: dict = {}
+            total = []
             for (a, b, c), d in other.terms.items():
-                cur = dict(self.terms)
+                cur = self.terms
                 for _ in range(a):
                     cur = _rmul_f(cur)
                 step = 1 if b > 0 else -1
@@ -210,8 +198,7 @@ class UqElement:
                     cur = _rmul_k(cur, step)
                 for _ in range(c):
                     cur = _rmul_e(cur)
-                for key, v in cur.items():
-                    _acc(total, key, v * d)
+                total.extend((key, v * d) for key, v in cur.items())
             return UqElement(total)
         try:
             s = _coeff(other)
@@ -288,17 +275,17 @@ class UqElement:
 
 
 class UqTensor:
-    """A sum of pure tensors of PBW monomials in two slots."""
+    """A sum of pure tensors of PBW monomials in two slots.
+
+    ``terms`` is a mapping or an iterable of ((m1, m2), coefficient) pairs;
+    the coefficients of a repeated monomial pair are summed.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean: dict = {}
-        for key, v in (terms or {}).items():
-            v = _coeff(v)
-            if v:
-                _acc(clean, key, v)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms=()):
+        object.__setattr__(self, "terms", {
+            key: _coeff(v) for key, v in collect(terms).items()})
 
     def __setattr__(self, *a):
         raise AttributeError("UqTensor is immutable")
@@ -315,21 +302,18 @@ class UqTensor:
     def __add__(self, other):
         if not isinstance(other, UqTensor):
             return NotImplemented
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            _acc(out, key, v)
-        return UqTensor(out)
+        return UqTensor([*self.terms.items(), *other.terms.items()])
 
     def __mul__(self, other):
         if isinstance(other, UqTensor):
-            out: dict = {}
+            out = []
             for (m1, m2), u in self.terms.items():
                 for (n1, n2), w in other.terms.items():
                     left = UqElement.monomial(*m1) * UqElement.monomial(*n1)
                     right = UqElement.monomial(*m2) * UqElement.monomial(*n2)
-                    for k1, c1 in left.terms.items():
-                        for k2, c2 in right.terms.items():
-                            _acc(out, (k1, k2), u * w * c1 * c2)
+                    out.extend(((k1, k2), u * w * c1 * c2)
+                               for k1, c1 in left.terms.items()
+                               for k2, c2 in right.terms.items())
             return UqTensor(out)
         try:
             s = _coeff(other)
@@ -402,19 +386,18 @@ class UqModule:
         return "UqModule(n=%d)" % self.n
 
 
-def _commutant_dimension(mats) -> int:
-    """Dimension of the joint commutant of a list of d x d matrices."""
-    d = mats[0].nrows
-    rows = []
-    for m in mats:
-        for i in range(d):
-            for j in range(d):
-                row = [_R0] * (d * d)
-                for t in range(d):
-                    row[t * d + j] = row[t * d + j] + m[i, t]
-                    row[i * d + t] = row[i * d + t] - m[t, j]
-                rows.append(row)
-    return len(nullspace(rows, d * d))
+def _weights_force_scalars(mat_e: Matrix, mat_k: Matrix) -> bool:
+    """Does every matrix commuting with mat_k and mat_e have to be scalar?
+
+    A diagonal mat_k with pairwise distinct entries leaves only diagonal
+    matrices in its commutant, and a diagonal matrix commuting with mat_e
+    is scalar once every superdiagonal entry of mat_e is nonzero.
+    """
+    d = mat_k.nrows
+    diagonal = [mat_k[i, i] for i in range(d)]
+    return (all(not mat_k[i, j] for i in range(d) for j in range(d) if i != j)
+            and len(set(diagonal)) == d
+            and all(mat_e[i, i + 1] for i in range(d - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +413,7 @@ def module(n: int) -> UqModule:
         raise InternalError("module matrices break the E,F commutator")
     if mat_k * mat_e != (mat_e * mat_k).scale(qpow(2)):
         raise InternalError("module matrices break the K,E relation")
-    if _commutant_dimension([mat_e, mat_f, mat_k]) != 1:
+    if not _weights_force_scalars(mat_e, mat_k):
         raise InternalError("module(%d) is not simple" % n)
     return mod
 

@@ -275,6 +275,26 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert json.loads(err)["error"]["kind"] in ("input", "parse")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("terms", [[0, 1, 5]]),
+    ("group", "Z2"),
+    ("arity", 2.5),
+    ("terms", [[0.5, 0, "1/1"]]),
+    ("terms", [[True, 0, "1/1"]]),
+], ids=["number-coefficient", "string-descriptor", "fractional-arity",
+        "fractional-index", "boolean-index"])
+def test_malformed_p_file_exits_two(tmp_path, capsys, field, value):
+    doc = tensor_to_json(unit_p(cyclic(2)).tensor)
+    doc[field] = value
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(doc))
+    assert main(["verify", "--group", "Z2", "--p-file", str(pfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"]["kind"] == "input"
+
+
 def test_out_into_a_missing_directory_exits_two(tmp_path, capsys):
     out = tmp_path / "missing" / "v.json"
     assert main(["uq", "center", "--n", "0", "--out", str(out)]) == 2

@@ -72,6 +72,14 @@ def test_poly_arithmetic_basics():
         x + xvar(0, 3)
 
 
+def test_constant_polynomials_hash_as_their_scalars():
+    for p, c in ((Poly.constant(2, 3), F(3)), (Poly(2), 0),
+                 (Poly.constant(1, F(-1, 2)), F(-1, 2))):
+        assert p == c
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+
+
 def test_poly_evaluate_at_scalars():
     x, y = xvar(0, 2), xvar(1, 2)
     p = x ** 2 * y - 3 * y + F(1, 2)

@@ -17,6 +17,7 @@ from peterweyl.exact.scalars import (
     _pmul,
     _ptrim,
     as_scalar,
+    collect,
     cyclotomic_polynomial,
     promote_like,
     scalar_from_str,
@@ -427,6 +428,17 @@ def test_unify_promotes_to_common_variant():
     assert all(isinstance(x, RatFun) for x in out)
     out = unify([F(1, 2), 3])
     assert all(isinstance(x, Fraction) for x in out)
+
+
+def test_collect_sums_repeated_keys_and_drops_zeros():
+    z = Cyclotomic.zeta(3)
+    pairs = [("a", 1), ("b", z), ("c", Fraction(1, 2)), ("b", -z),
+             ("a", Fraction(1, 3)), ("c", 0)]
+    got = collect(pairs)
+    assert got == {"a": Fraction(4, 3), "c": Fraction(1, 2)}
+    assert list(got) == ["a", "c"]
+    assert collect({"x": 0, "y": 2}) == {"y": 2}
+    assert collect(iter(pairs)) == got
 
 
 def test_hash_consistent_with_equality():

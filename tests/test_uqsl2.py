@@ -9,7 +9,9 @@ Independent oracles used here:
   basis comes from a plain linear solve over bounded monomial spans;
 * each central element must act on every small module by the balanced
   scalar  sum_t q^((m+1)(n-2t)),  computed here directly from the weight
-  pairing without touching the braiding pipeline.
+  pairing without touching the braiding pipeline;
+* the weight test of module simplicity is checked against a dense solve
+  for the joint commutant of the generator matrices, blind to weights.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from fractions import Fraction as F
 import pytest
 
 from peterweyl.errors import PreconditionError, VariantError
-from peterweyl.exact.linalg import Matrix, Subspace, solve_linear
+from peterweyl.exact.linalg import Matrix, Subspace, nullspace, solve_linear
 from peterweyl.exact.scalars import (
     Cyclotomic,
     RatFun,
@@ -32,6 +34,7 @@ from peterweyl.uqsl2 import (
     UqElement,
     UqTensor,
     _ad_round,
+    _weights_force_scalars,
     adjoint,
     c_q,
     central_commutant_solve,
@@ -226,6 +229,70 @@ def test_module_highest_weight_is_killed():
 def test_module_rejects_negative_label():
     with pytest.raises(PreconditionError):
         module(-1)
+
+
+def _commutant_dimension(mats) -> int:
+    """Dimension of the joint commutant of a list of d x d matrices.
+
+    The weight-blind oracle for simplicity: a dense solve over Q(v) for
+    every X with M X = X M.
+    """
+    d = mats[0].nrows
+    rows = []
+    for m in mats:
+        for i in range(d):
+            for j in range(d):
+                row = [RatFun.of(0)] * (d * d)
+                for t in range(d):
+                    row[t * d + j] = row[t * d + j] + m[i, t]
+                    row[i * d + t] = row[i * d + t] - m[t, j]
+                rows.append(row)
+    return len(nullspace(rows, d * d))
+
+
+def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    zero = RatFun.of(0)
+    return Matrix([list(r) + [zero] * b.ncols for r in a.rows]
+                  + [[zero] * a.ncols + list(r) for r in b.rows])
+
+
+def test_weight_check_agrees_with_the_commutant_solve():
+    for n in range(7):
+        mod = module(n)
+        assert _commutant_dimension([mod.mat_e, mod.mat_f, mod.mat_k]) == 1
+        assert _weights_force_scalars(mod.mat_e, mod.mat_k)
+
+
+def test_weight_check_rejects_a_repeated_weight():
+    mod = module(1)
+    e, f, k = (_direct_sum(m, m) for m in (mod.mat_e, mod.mat_f, mod.mat_k))
+    assert _commutant_dimension([e, f, k]) == 4
+    assert not _weights_force_scalars(e, k)
+    # linking the blocks fills E's superdiagonal; the repeated weight
+    # alone still leaves a commutant larger than the scalars
+    rows = [list(r) for r in e.rows]
+    rows[1][2] = RatFun.of(1)
+    linked = Matrix(rows)
+    assert _commutant_dimension([linked, k]) == 2
+    assert not _weights_force_scalars(linked, k)
+
+
+def test_weight_check_rejects_a_broken_raising_chain():
+    mod = module(3)
+    rows = [list(r) for r in mod.mat_e.rows]
+    rows[1][2] = RatFun.of(0)
+    e = Matrix(rows)
+    assert _commutant_dimension([e, mod.mat_k]) == 2
+    assert not _weights_force_scalars(e, mod.mat_k)
+
+
+def test_weight_check_needs_a_diagonal_k():
+    # the argument reads weights off the diagonal, so a K with an
+    # off-diagonal entry proves nothing, even where the solve finds 1
+    mod = module(1)
+    rows = [list(r) for r in mod.mat_k.rows]
+    rows[1][0] = RatFun.of(1)
+    assert not _weights_force_scalars(mod.mat_e, Matrix(rows))
 
 
 # Reference module matrices: the generator matrices are written entry by
