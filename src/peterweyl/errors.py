@@ -28,14 +28,6 @@ class RealizabilityError(PeterWeylError):
     """
 
 
-class NotSplitError(PeterWeylError):
-    """A decomposition step found a non-split situation."""
-
-
-class CocycleError(PeterWeylError):
-    """A claimed cocycle fails its defining relation."""
-
-
 class MembershipError(PeterWeylError):
     """An element is outside the subspace or set required by the caller."""
 

@@ -72,8 +72,7 @@ class Group:
     __slots__ = ("name", "order", "table", "inv", "elements", "generators",
                  "gens", "descriptor", "key")
 
-    def __init__(self, name: str, table, element_names=None, generators=(),
-                 descriptor=None):
+    def __init__(self, name: str, table, generators=(), descriptor=None):
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
@@ -97,12 +96,8 @@ class Group:
                     inv[i] = j
                     break
         object.__setattr__(self, "inv", tuple(inv))
-        if element_names is None:
-            element_names = self._names_from_words()
-        element_names = tuple(element_names)
-        if len(element_names) != n:
-            raise PreconditionError("need one display name per element")
-        object.__setattr__(self, "elements", element_names)
+        object.__setattr__(self, "elements",
+                           tuple(self._names_from_words()))
 
     def __setattr__(self, *a):
         raise AttributeError("Group is immutable")

@@ -670,6 +670,9 @@ def tensor_from_json(obj: dict) -> TensorElement:
 
 def _term_from_json(entry) -> tuple:
     """One serialized term [i1, ..., ik, "coefficient"] as (key, scalar)."""
+    if not isinstance(entry, list) or len(entry) < 2:
+        raise PreconditionError(
+            "a tensor term lists at least one index and a coefficient")
     key, c = tuple(entry[:-1]), entry[-1]
     if any(type(i) is not int for i in key):
         raise PreconditionError("tensor indices must be integers")

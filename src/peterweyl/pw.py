@@ -13,8 +13,8 @@ B = End V already by Burnside's theorem.
 
 The decomposition machinery checks, entirely in exact arithmetic, that
 
-* coefficient subspaces only see the isomorphism class (direct sums and
-  cocycle extensions add nothing new),
+* coefficient subspaces only see the isomorphism class (direct sums add
+  nothing new),
 * convolution multiplies coefficient subspaces the way tensor products
   multiply modules,
 * the characters of the simples are a basis of the class functions, with
@@ -25,14 +25,11 @@ The decomposition machinery checks, entirely in exact arithmetic, that
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import DimensionError, InternalError, PreconditionError
 from .exact.linalg import Infeasible, Subspace, solve_linear
-from .exact.scalars import scalar_to_str
 from .groups import Group, same_group
 from .hopf import Functional, convolve
-from .reps import Rep, decompose, extension_by_cocycle, irreps, pairing
+from .reps import Rep, irreps, pairing
 
 
 def beta(v: Rep, vec, fvec) -> Functional:
@@ -96,12 +93,6 @@ def component(v: Rep) -> PWComponent:
     return PWComponent(v.label, translate_span(chi), chi)
 
 
-def z_additive_check(v: Rep, w: Rep, rho) -> bool:
-    """Does the extension along rho have character z(V) + z(W)?"""
-    ext = extension_by_cocycle(v, w, rho)
-    return z(ext) == z(v) + z(w)
-
-
 def z_multiplicative_check(v: Rep, w: Rep) -> bool:
     """Does convolution of characters match the tensor product character?"""
     return convolve(z(v), z(w)) == z(v.tensor(w))
@@ -159,26 +150,3 @@ def character_structure_constants(group: Group) -> dict:
             }
     return out
 
-
-def component_report(group: Group) -> dict:
-    """Per-simple dimensions, character vectors, and the product table."""
-    simples = irreps(group)
-    comps = {v.label: component(v) for v in simples}
-    report = {
-        "group": group.descriptor,
-        "order": group.order,
-        "components": {
-            label: {
-                "dim": comp.dim,
-                "z": [scalar_to_str(x) for x in comp.z.values],
-            }
-            for label, comp in comps.items()
-        },
-        "products": {},
-        "direct_sum_fills_dual": direct_sum_decomposition(group),
-    }
-    for v, w in itertools.product(simples, repeat=2):
-        mult = decompose(v.tensor(w)).multiplicities
-        report["products"]["%s|%s" % (v.label, w.label)] = dict(
-            sorted(mult.items()))
-    return report

@@ -13,9 +13,6 @@ by induction on word length.  The families:
   and over the order-n cyclotomic field otherwise;
 * cyclic groups: the n characters through an n-th root of unity;
 * direct products: outer tensor products of the factor irreducibles.
-
-Dual modules carry the natural right action (transposed matrices), paired
-with the original by the standard coordinate pairing.
 """
 
 from __future__ import annotations
@@ -25,23 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import (
-    CocycleError,
-    InternalError,
-    NotSplitError,
-    ParseError,
-    PreconditionError,
-    RealizabilityError,
-)
-from .exact.linalg import Matrix, nullspace
-from .exact.scalars import (
-    Cyclotomic,
-    VariantError,
-    as_scalar,
-    collect,
-    scalar_from_str,
-    scalar_to_str,
-)
+from .errors import InternalError, PreconditionError, RealizabilityError
+from .exact.linalg import Matrix
+from .exact.scalars import Cyclotomic, VariantError, as_scalar, collect
 from .groups import Group, from_descriptor, same_group
 from .hopf import Functional
 
@@ -109,9 +92,6 @@ class Rep:
     def character(self) -> Functional:
         return Functional(self.group, [m.trace() for m in self.matrices])
 
-    def dual(self) -> "DualRep":
-        return DualRep(self)
-
     def tensor(self, other: "Rep") -> "Rep":
         if not same_group(self.group, other.group):
             raise PreconditionError("representations of different groups")
@@ -143,36 +123,6 @@ class Rep:
     def __repr__(self):
         return "Rep(%s, dim=%d over %s)" % (self.label, self.dim,
                                             self.group.name)
-
-
-class DualRep:
-    """The dual module with its natural right action f . g = transpose(g) f."""
-
-    __slots__ = ("base", "group", "dim", "matrices", "label")
-
-    def __init__(self, base: Rep):
-        mats = tuple(m.transpose() for m in base.matrices)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "group", base.group)
-        object.__setattr__(self, "dim", base.dim)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "label", "%s^*" % base.label)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DualRep is immutable")
-
-    def act_right(self, f, i: int):
-        """Coordinates of f . g_i."""
-        return self.matrices[i].apply(f)
-
-    def as_left_rep(self) -> Rep:
-        """The dual as a left module through the antipode: g acts by g^{-1}."""
-        grp = self.group
-        mats = [self.matrices[grp.inverse(i)] for i in range(grp.order)]
-        return Rep(grp, mats, "%s-left" % self.label)
-
-    def __repr__(self):
-        return "DualRep(%s, dim=%d)" % (self.label, self.dim)
 
 
 def pairing(v_vec, f_vec):
@@ -413,57 +363,9 @@ def character_table(group: Group):
     return table
 
 
-def trivial_rep(group: Group) -> Rep:
-    return Rep(group, [Matrix.identity(1)] * group.order, "triv")
-
-
 # ---------------------------------------------------------------------------
-# morphism spaces, decomposition, Grothendieck classes
+# decomposition and Grothendieck classes
 # ---------------------------------------------------------------------------
-
-def intertwiners(v: Rep, w: Rep):
-    """A basis of the space of module maps V -> W, by exact elimination.
-
-    X intertwines exactly when w(g) X = X v(g) on the group generators;
-    the nullspace of that linear system is returned as matrices.
-    """
-    if not same_group(v.group, w.group):
-        raise PreconditionError("representations of different groups")
-    unknowns = w.dim * v.dim
-    rows = []
-    for gi in v.group.gens:
-        a = w.matrices[gi]
-        b = v.matrices[gi]
-        for r in range(w.dim):
-            for c in range(v.dim):
-                row = [_F0] * unknowns
-                for k in range(w.dim):
-                    row[k * v.dim + c] = row[k * v.dim + c] + a.rows[r][k]
-                for k in range(v.dim):
-                    row[r * v.dim + k] = row[r * v.dim + k] - b.rows[k][c]
-                rows.append(row)
-    out = []
-    for vec in nullspace(rows, unknowns):
-        out.append(Matrix([[vec[r * v.dim + c] for c in range(v.dim)]
-                           for r in range(w.dim)]))
-    return out
-
-
-def hom_dim(v: Rep, w: Rep) -> int:
-    return len(intertwiners(v, w))
-
-
-def end_dim(v: Rep) -> int:
-    """Dimension of the commutant End(V); equals 1 for split simples."""
-    return hom_dim(v, v)
-
-
-def isomorphic(v: Rep, w: Rep) -> bool:
-    """Character comparison; in characteristic 0 characters decide it."""
-    if not same_group(v.group, w.group):
-        raise PreconditionError("representations of different groups")
-    return v.dim == w.dim and v.character() == w.character()
-
 
 class K0Element:
     """A multiplicity vector over the irreducible labels of one group.
@@ -554,111 +456,3 @@ def decompose(v: Rep) -> K0Element:
             % (recovered, v.dim))
     return out
 
-
-def assert_split(v: Rep):
-    """Require End(V) to be one-dimensional (V absolutely simple)."""
-    d = end_dim(v)
-    if d != 1:
-        raise NotSplitError(
-            "End(%s) has dimension %d; the base field does not split it"
-            % (v.label, d))
-
-
-# ---------------------------------------------------------------------------
-# extensions by cocycles
-# ---------------------------------------------------------------------------
-
-def cocycle_check(v: Rep, w: Rep, rho) -> bool:
-    """Does rho satisfy rho(gh) = rho(g) w(h) + v(g) rho(h) for all g, h?
-
-    Checked exactly as rho(e) = 0 and rho(gs) = rho(g) w(s) + v(g) rho(s)
-    for every g and every generator s.  These imply the identity for all
-    pairs by induction on the length of a generator word for h; rho(e) = 0
-    is the case h = e, and the only check left when there are no
-    generators.
-    """
-    grp = v.group
-    rho = tuple(rho)
-    if len(rho) != grp.order:
-        raise PreconditionError("need one matrix per group element")
-    for m in rho:
-        if m.nrows != v.dim or m.ncols != w.dim:
-            raise PreconditionError("cocycle matrices must map W to V")
-    if rho[grp.identity] != Matrix.zeros(v.dim, w.dim):
-        return False
-    for g in range(grp.order):
-        for s in grp.gens:
-            lhs = rho[grp.mul(g, s)]
-            rhs = rho[g] * w.matrices[s] + v.matrices[g] * rho[s]
-            if lhs != rhs:
-                return False
-    return True
-
-
-def coboundary(v: Rep, w: Rep, phi: Matrix):
-    """The cocycle g -> phi w(g) - v(g) phi attached to a linear map phi."""
-    if phi.nrows != v.dim or phi.ncols != w.dim:
-        raise PreconditionError("phi must map W to V")
-    return tuple(phi * w.matrices[g] - v.matrices[g] * phi
-                 for g in range(v.group.order))
-
-
-def zero_cocycle(v: Rep, w: Rep):
-    return tuple(Matrix.zeros(v.dim, w.dim) for _ in range(v.group.order))
-
-
-def extension_by_cocycle(v: Rep, w: Rep, rho) -> Rep:
-    """The module V oplus_rho W: block upper triangular action.
-
-    V embeds as a submodule, W is the quotient.  Raises CocycleError when
-    rho is not a cocycle.
-    """
-    if not same_group(v.group, w.group):
-        raise PreconditionError("representations of different groups")
-    if not cocycle_check(v, w, rho):
-        raise CocycleError("the given map violates the cocycle identity")
-    rho = tuple(rho)
-    mats = []
-    for g in range(v.group.order):
-        top = [list(a) + list(b)
-               for a, b in zip(v.matrices[g].rows, rho[g].rows)]
-        bot = [[_F0] * v.dim + list(r) for r in w.matrices[g].rows]
-        mats.append(Matrix(top + bot))
-    return Rep(v.group, mats, "%s(+_rho)%s" % (v.label, w.label))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _matrix_to_json(m: Matrix):
-    return [[scalar_to_str(x) for x in row] for row in m.rows]
-
-
-def _matrix_from_json(doc):
-    return Matrix([[scalar_from_str(s) for s in row] for row in doc])
-
-
-def rep_to_json(v: Rep) -> dict:
-    """Generator-indexed matrices; enough to rebuild along generator words."""
-    doc = {"group": v.group.descriptor, "label": v.label, "dim": v.dim}
-    if v.group.generators:
-        doc["generators"] = [[gi, _matrix_to_json(v.matrices[gi])]
-                             for gi, _ in v.group.generators]
-    else:
-        doc["matrices"] = [_matrix_to_json(m) for m in v.matrices]
-    return doc
-
-
-def rep_from_json(doc: dict) -> Rep:
-    grp = from_descriptor(doc["group"])
-    if "generators" in doc:
-        gen_mats = {int(gi): _matrix_from_json(m)
-                    for gi, m in doc["generators"]}
-        out = Rep.from_generators(grp, gen_mats, doc["label"])
-    else:
-        out = Rep(grp, [_matrix_from_json(m) for m in doc["matrices"]],
-                  doc["label"])
-    if out.dim != doc["dim"]:
-        raise ParseError("dimension field does not match the matrices")
-    return out

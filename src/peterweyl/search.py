@@ -224,37 +224,6 @@ def _violates_fast(point, pair_tables) -> bool:
     return False
 
 
-def s3_family_slice_check() -> bool:
-    """The two-parameter family satisfies the system identically.
-
-    Its orbit coordinates are affine in the two parameters, so substituting
-    coordinate polynomials into every equation must give the zero
-    polynomial; this proves satisfaction for all parameter values at once.
-    """
-    from .groups import symmetric
-
-    grp = symmetric(3)
-    basis = a_basis(grp)
-    system = assemble_constraints(grp)
-    base = basis.coords_of(s3_family(_F0, _F0).tensor)
-    at10 = basis.coords_of(s3_family(_F1, _F0).tensor)
-    at01 = basis.coords_of(s3_family(_F0, _F1).tensor)
-    lam = Poly.variable(0, 2)
-    mu = Poly.variable(1, 2)
-    sym_coords = []
-    for b, p10, p01 in zip(base, at10, at01):
-        sym_coords.append(Poly.constant(2, b) + lam * (p10 - b)
-                          + mu * (p01 - b))
-    for p in system.polys:
-        value = p.evaluate(sym_coords)
-        if isinstance(value, Poly):
-            if value:
-                return False
-        elif value != 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # search strategies
 # ---------------------------------------------------------------------------

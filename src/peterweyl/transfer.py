@@ -318,22 +318,6 @@ def check_t_normalized(t4: TensorElement) -> bool:
             == TensorElement.unit(t4.group, 2))
 
 
-def phi_mult_identity_check(p, t4: TensorElement, xi: Functional,
-                            eta: Functional) -> bool:
-    """phi(xi.eta) = sum over T of phi(t2 > xi < t1) phi(t4 > eta < t3)."""
-    t = _tensor_of(p)
-    grp = t.group
-    lhs = phi(t, convolve(xi, eta))
-    rhs = AlgebraElement.zero(grp)
-    for (t1, t2, t3, t4i), coeff in t4.terms.items():
-        xi_mod = act("left", AlgebraElement.basis(grp, t2),
-                     act("right", AlgebraElement.basis(grp, t1), xi))
-        eta_mod = act("left", AlgebraElement.basis(grp, t4i),
-                      act("right", AlgebraElement.basis(grp, t3), eta))
-        rhs = rhs + (phi(t, xi_mod) * phi(t, eta_mod)) * coeff
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # candidates from (R+, R-) pairs
 # ---------------------------------------------------------------------------
@@ -358,10 +342,6 @@ def r_failures(rplus: TensorElement, rminus: TensorElement):
             fails.append("commutation with the coproduct image")
             break
     return tuple(fails)
-
-
-def r_membership(rplus: TensorElement, rminus: TensorElement) -> bool:
-    return not r_failures(rplus, rminus)
 
 
 def grouplike_check(g: AlgebraElement) -> bool:

@@ -544,12 +544,6 @@ def theta(order: int) -> ThetaExpansion:
     return ThetaExpansion(order, *_convention())
 
 
-def validate_theta(mv: UqModule, mw: UqModule) -> bool:
-    """Check the selected convention intertwines the coproducts on mv (x) mw."""
-    theta_exp = theta(min(mv.n, mw.n))
-    return _intertwines(theta_exp, mv, mw)
-
-
 # ---------------------------------------------------------------------------
 # transferred matrix coefficients and central elements
 # ---------------------------------------------------------------------------
@@ -609,21 +603,20 @@ def c_q(n: int) -> UqElement:
 def central_commutant_solve(deg: int):
     """Basis of the commutant of {E, F, K} in a bounded monomial span.
 
-    The span holds every monomial F^a K^b E^c with a, c, |b| <= deg.
-    Commutation against each generator is one linear system over Q(v);
-    the returned tuple of elements is the canonical nullspace basis.
-    This is an independent route to central elements: it never looks at
-    modules or braiding data.
+    The span is every monomial F^a K^b E^c with a, c, |b| <= deg.  K
+    rescales F^a K^b E^c by q^(2(c - a)), so an element commutes with K
+    exactly when it lives on the weight-zero monomials F^a K^b E^a; the
+    solve runs over those alone.  Commutation against E and F is one
+    linear system over Q(v), and the returned tuple of elements is its
+    canonical nullspace basis.  This is an independent route to central
+    elements: it never looks at modules or braiding data.
     """
     if deg < 0:
         raise PreconditionError("degree bound must be >= 0, got %d" % deg)
     monos = sorted(
-        (a, b, c)
-        for a in range(deg + 1)
-        for b in range(-deg, deg + 1)
-        for c in range(deg + 1)
+        (a, b, a) for a in range(deg + 1) for b in range(-deg, deg + 1)
     )
-    gens = [UqElement.e(), UqElement.f(), UqElement.k()]
+    gens = [UqElement.e(), UqElement.f()]
     commutators = []
     row_keys: set = set()
     for mono in monos:

@@ -281,8 +281,9 @@ def test_input_errors_exit_two(tmp_path, capsys):
     ("arity", 2.5),
     ("terms", [[0.5, 0, "1/1"]]),
     ("terms", [[True, 0, "1/1"]]),
+    ("terms", [[]]),
 ], ids=["number-coefficient", "string-descriptor", "fractional-arity",
-        "fractional-index", "boolean-index"])
+        "fractional-index", "boolean-index", "empty-term"])
 def test_malformed_p_file_exits_two(tmp_path, capsys, field, value):
     doc = tensor_to_json(unit_p(cyclic(2)).tensor)
     doc[field] = value

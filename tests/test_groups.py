@@ -17,7 +17,9 @@ from peterweyl.groups import (
     symmetric,
 )
 from peterweyl.hopf import AlgebraElement, Functional, TensorElement
-from peterweyl.reps import K0Element, character_table, trivial_rep
+from peterweyl.reps import K0Element, character_table
+
+from _modules import trivial_rep
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from peterweyl.errors import CocycleError, DimensionError
-from peterweyl.exact.linalg import Subspace
+from peterweyl.errors import DimensionError
+from peterweyl.exact.linalg import Matrix, Subspace
+from peterweyl.exact.scalars import scalar_to_str
 from peterweyl.groups import cyclic, dihedral, parse_group, symmetric
 from peterweyl.hopf import (
     AlgebraElement,
@@ -20,27 +21,19 @@ from peterweyl.hopf import (
     class_indicator_subspace,
     convolve,
 )
-from peterweyl.reps import (
-    Rep,
-    coboundary,
-    decompose,
-    extension_by_cocycle,
-    irreps,
-    zero_cocycle,
-)
+from peterweyl.reps import Rep, decompose, irreps
 from peterweyl.pw import (
     PWComponent,
     beta,
     character_structure_constants,
     component,
-    component_report,
     direct_sum_decomposition,
     product_component_check,
     z,
-    z_additive_check,
     z_multiplicative_check,
 )
-from peterweyl.exact.linalg import Matrix
+
+from _modules import coboundary, extension_by_cocycle, zero_cocycle
 
 F = Fraction
 
@@ -97,7 +90,7 @@ def test_beta_is_a_bimodule_homomorphism():
         hh = AlgebraElement.basis(g, h)
         left = beta(v, v.matrix(h).apply(vec), fvec)
         assert left == act("left", hh, base)
-        right = beta(v, vec, v.dual().act_right(fvec, h))
+        right = beta(v, vec, v.matrix(h).transpose().apply(fvec))
         assert right == act("right", hh, base)
 
 
@@ -248,11 +241,13 @@ def test_z_invariant_under_adjoint_action_on_dual():
 def test_z_additive_over_extensions():
     reps = by_label(symmetric(3))
     v, w = reps["std"], reps["sgn"]
-    assert z_additive_check(v, w, zero_cocycle(v, w))
-    assert z_additive_check(v, w, coboundary(v, w, Matrix([[F(1)], [F(2)]])))
-    with pytest.raises(CocycleError):
-        z_additive_check(v, w, tuple(Matrix([[F(1)], [F(1)]])
-                                     for _ in range(6)))
+    for rho in (zero_cocycle(v, w),
+                coboundary(v, w, Matrix([[F(1)], [F(2)]]))):
+        ext = extension_by_cocycle(v, w, rho)
+        assert z(ext) == z(v) + z(w)
+    with pytest.raises(ValueError):
+        extension_by_cocycle(v, w, tuple(Matrix([[F(1)], [F(1)]])
+                                         for _ in range(6)))
 
 
 def test_z_multiplicative_for_all_pairs():
@@ -324,24 +319,28 @@ def test_component_sum_closed_under_convolution():
 
 
 # ---------------------------------------------------------------------------
-# report
+# report: per-simple dimensions, characters and the product table
 # ---------------------------------------------------------------------------
 
 def test_component_report_s3():
     g = symmetric(3)
-    rep = component_report(g)
-    assert rep["order"] == 6
-    assert rep["group"] == {"kind": "symmetric", "n": 3}
-    assert rep["components"]["triv"]["dim"] == 1
-    assert rep["components"]["std"]["dim"] == 4
-    assert rep["components"]["std"]["z"] \
+    reps = by_label(g)
+    assert g.order == 6
+    assert g.descriptor == {"kind": "symmetric", "n": 3}
+    assert component(reps["triv"]).dim == 1
+    assert component(reps["std"]).dim == 4
+    assert [scalar_to_str(x) for x in component(reps["std"]).z.values] \
         == ["2/1", "0/1", "0/1", "-1/1", "-1/1", "0/1"]
-    assert rep["products"]["std|std"] == {"sgn": 1, "std": 1, "triv": 1}
-    assert rep["products"]["sgn|sgn"] == {"triv": 1}
-    assert rep["direct_sum_fills_dual"] is True
+    std, sgn = reps["std"], reps["sgn"]
+    assert decompose(std.tensor(std)).multiplicities \
+        == {"sgn": 1, "std": 1, "triv": 1}
+    assert decompose(sgn.tensor(sgn)).multiplicities == {"triv": 1}
+    assert direct_sum_decomposition(g) is True
 
 
 def test_component_report_cyclotomic_group():
-    rep = component_report(cyclic(5))
-    assert rep["components"]["chi1"]["z"][1] == "[0/1,1/1,0/1,0/1]@zeta(5)"
-    assert rep["products"]["chi1|chi4"] == {"chi0": 1}
+    reps = by_label(cyclic(5))
+    assert scalar_to_str(component(reps["chi1"]).z.values[1]) \
+        == "[0/1,1/1,0/1,0/1]@zeta(5)"
+    assert decompose(reps["chi1"].tensor(reps["chi4"])).multiplicities \
+        == {"chi0": 1}

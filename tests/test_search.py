@@ -25,7 +25,6 @@ from peterweyl.search import (
     a_basis,
     assemble_constraints,
     full_verify,
-    s3_family_slice_check,
     search,
     _pair_tables,
     _symbolic_transfer_determinant,
@@ -163,6 +162,35 @@ def test_unit_tensor_satisfies_every_system():
         system = assemble_constraints(grp)
         assert system.satisfied_by(list(basis.coords_of(
             unit_p(grp).tensor)))
+
+
+def s3_family_slice_check() -> bool:
+    """The two-parameter family satisfies the system identically.
+
+    Its orbit coordinates are affine in the two parameters, so substituting
+    coordinate polynomials into every equation must give the zero
+    polynomial; this proves satisfaction for all parameter values at once.
+    """
+    grp = symmetric(3)
+    basis = a_basis(grp)
+    system = assemble_constraints(grp)
+    base = basis.coords_of(s3_family(F(0), F(0)).tensor)
+    at10 = basis.coords_of(s3_family(F(1), F(0)).tensor)
+    at01 = basis.coords_of(s3_family(F(0), F(1)).tensor)
+    lam = Poly.variable(0, 2)
+    mu = Poly.variable(1, 2)
+    sym_coords = []
+    for b, p10, p01 in zip(base, at10, at01):
+        sym_coords.append(Poly.constant(2, b) + lam * (p10 - b)
+                          + mu * (p01 - b))
+    for p in system.polys:
+        value = p.evaluate(sym_coords)
+        if isinstance(value, Poly):
+            if value:
+                return False
+        elif value != 0:
+            return False
+    return True
 
 
 def test_family_slice_satisfies_the_system_identically():

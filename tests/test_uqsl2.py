@@ -6,7 +6,9 @@ Independent oracles used here:
   product must equal the product of the actions, and the matrices are
   built from weights and q-integers only, never from the rewrite;
 * centrality is cross-checked by an element-free route: the commutant
-  basis comes from a plain linear solve over bounded monomial spans;
+  basis comes from a plain linear solve over bounded monomial spans, and
+  the library's solve over weight-zero monomials is checked against the
+  solve over every monomial of the span;
 * each central element must act on every small module by the balanced
   scalar  sum_t q^((m+1)(n-2t)),  computed here directly from the weight
   pairing without touching the braiding pipeline;
@@ -34,6 +36,7 @@ from peterweyl.uqsl2 import (
     UqElement,
     UqTensor,
     _ad_round,
+    _intertwines,
     _weights_force_scalars,
     adjoint,
     c_q,
@@ -47,7 +50,6 @@ from peterweyl.uqsl2 import (
     r_action,
     theta,
     transferred_coefficient,
-    validate_theta,
 )
 
 E = UqElement.e()
@@ -412,12 +414,10 @@ def test_theta_prefix_is_stable():
 def test_validate_theta_on_all_small_pairs():
     for m in range(4):
         for n in range(4):
-            assert validate_theta(module(m), module(n))
+            assert _intertwines(theta(min(m, n)), module(m), module(n))
 
 
 def test_rejected_conventions_fail_the_intertwiner():
-    from peterweyl.uqsl2 import _intertwines
-
     good = theta(2)
     flipped = ThetaExpansion(2, -good.sign, good.twist)
     assert not _intertwines(flipped, module(1), module(1))
@@ -526,6 +526,49 @@ def test_module_matrices_are_frozen():
 # ---------------------------------------------------------------------------
 # commutant oracle
 # ---------------------------------------------------------------------------
+
+
+def _full_span_commutant(deg):
+    """The commutant of {E, F, K} solved over every F^a K^b E^c in the span.
+
+    No weight argument: all (deg+1)^2 (2 deg+1) monomials enter, and K is
+    one more generator to commute with.
+    """
+    monos = sorted(
+        (a, b, c)
+        for a in range(deg + 1)
+        for b in range(-deg, deg + 1)
+        for c in range(deg + 1)
+    )
+    gens = [E, FF, K]
+    commutators = []
+    row_keys: set = set()
+    for mono in monos:
+        x = UqElement.monomial(*mono)
+        per = []
+        for g in gens:
+            comm = x * g - g * x
+            per.append(comm)
+            row_keys.update(comm.terms)
+        commutators.append(per)
+    keys = sorted(row_keys)
+    rows = []
+    for gi in range(len(gens)):
+        for key in keys:
+            rows.append([
+                commutators[ci][gi].terms.get(key, RatFun.of(0))
+                for ci in range(len(monos))
+            ])
+    basis = []
+    for vec in nullspace(rows, len(monos)):
+        terms = {mono: vec[ci] for ci, mono in enumerate(monos)}
+        basis.append(UqElement(terms))
+    return tuple(basis)
+
+
+def test_weight_zero_commutant_is_the_full_span_commutant():
+    for deg in range(4):
+        assert central_commutant_solve(deg) == _full_span_commutant(deg)
 
 
 def test_commutant_identity_only_at_degree_zero():
