@@ -43,10 +43,9 @@ class Poly:
     def __init__(self, nvars: int, terms=()):
         clean = {}
         for mono, c in collect(terms).items():
-            c = as_scalar(c)
             if len(mono) != nvars:
                 raise DimensionError("monomial arity mismatch")
-            clean[tuple(int(e) for e in mono)] = c
+            clean[mono] = as_scalar(c)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 

@@ -16,8 +16,13 @@ inside one of them (no floating point anywhere):
   denominator is reduced by a gcd computed over Z[v] with primitive
   pseudo-remainders.  Both routes give the same normal form.
 
-Rationals promote into either extension; the two extensions never mix, and
-cyclotomic fields of different order never mix (``VariantError``).
+One rule mixes the variants, and ``promote_like`` is the one place it is
+written: an int, a Fraction or a rational-valued element of either
+extension goes into any variant, while a non-rational element goes only
+into its own field, so non-rational elements of Q(v) and of distinct
+Q(zeta_n) never mix (``VariantError``).  Every mixed operation, comparison
+and ``unify`` works in the variant of its highest-ranked operand
+(``_rank``), which does not depend on the order of the operands.
 
 Canonical string forms (used by every serialized artifact):
 
@@ -28,6 +33,7 @@ Canonical string forms (used by every serialized artifact):
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -194,28 +200,97 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return poly
 
 
+def _fractions(cs):
+    return _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in cs])
+
+
 def _euler_phi(n: int) -> int:
     return _pdeg(cyclotomic_polynomial(n))
 
 
-class Cyclotomic:
+class _Extension:
+    """What Cyclotomic and RatFun derive from their own field operations.
+
+    A subclass gives +, -, * and ``inverse`` for two operands of its own
+    field (any other pair goes through ``_common``), its field as
+    ``_variant``, its normal form as ``_key()`` and, through
+    ``_constant()``, the Fraction it equals or None.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @property
+    def is_rational(self) -> bool:
+        return self._constant() is not None
+
+    def as_fraction(self) -> Fraction:
+        c = self._constant()
+        if c is None:
+            raise VariantError("not a rational value: %s" % self)
+        return c
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __rsub__(self, other):
+        return _common(operator.sub, other, self)
+
+    def __truediv__(self, other):
+        return _common(_div, self, other)
+
+    def __rtruediv__(self, other):
+        return _common(_div, other, self)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = promote_like(1, self)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        return _common(_same_key, self, other)
+
+    def __hash__(self):
+        c = self._constant()
+        return hash(self._key() if c is None else c)
+
+    def __repr__(self):
+        return scalar_to_str(self)
+
+
+def _div(a, b):
+    return a * b.inverse()
+
+
+def _same_key(a, b):
+    return a._key() == b._key()
+
+
+class Cyclotomic(_Extension):
     """An element of Q(zeta_n) on the power basis of Phi_n."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
         d = _euler_phi(n)
-        cs = [Fraction(c) for c in coeffs]
+        cs = _fractions(coeffs)
         if len(cs) > d:
             # reduce modulo Phi_n
-            _, rem = _pdivmod(_ptrim(cs), cyclotomic_polynomial(n))
-            cs = list(rem)
-        cs += [_F0] * (d - len(cs))
+            _, cs = _pdivmod(cs, cyclotomic_polynomial(n))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(cs[:d]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyclotomic is immutable")
+        object.__setattr__(self, "coeffs", (cs + (_F0,) * d)[:d])
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "Cyclotomic":
@@ -226,70 +301,38 @@ class Cyclotomic:
 
     @staticmethod
     def of(n: int, value) -> "Cyclotomic":
-        return Cyclotomic(n, [Fraction(value)])
-
-    # -- structure ---------------------------------------------------------
+        return Cyclotomic(n, (value,))
 
     @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+    def _variant(self):
+        return (1, self.n)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise VariantError("not a rational value: %s" % self)
-        return self.coeffs[0]
+    def _key(self):
+        return (self.n, self.coeffs)
+
+    def _constant(self):
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.n != self.n:
-                if self.is_rational and other.is_rational:
-                    return Cyclotomic.of(self.n, other.as_fraction())
-                raise VariantError(
-                    "cyclotomic orders differ: %d vs %d" % (self.n, other.n))
-            return other
-        if isinstance(other, RatFun):
-            raise VariantError("cannot mix cyclotomic and ratfun scalars")
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.of(self.n, other)
-        return None
-
-    # -- field operations ----------------------------------------------------
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.n, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
+        if type(other) is not Cyclotomic or other.n != self.n:
+            return _common(operator.add, self, other)
+        return Cyclotomic(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return Cyclotomic(self.n, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.n, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if type(other) is not Cyclotomic or other.n != self.n:
+            return _common(operator.sub, self, other)
+        return Cyclotomic(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.n, _pmul(_ptrim(self.coeffs), _ptrim(o.coeffs)))
-
-    __rmul__ = __mul__
+        if type(other) is not Cyclotomic or other.n != self.n:
+            return _common(operator.mul, self, other)
+        return Cyclotomic(self.n, _pmul(_ptrim(self.coeffs), _ptrim(other.coeffs)))
 
     def inverse(self) -> "Cyclotomic":
         if not self:
@@ -299,58 +342,8 @@ class Cyclotomic:
             raise AssertionError("Phi_n must be irreducible over Q")
         return Cyclotomic(self.n, _pscale(u, 1 / g[0]))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyclotomic.of(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
-        if isinstance(other, Cyclotomic):
-            if other.n == self.n:
-                return self.coeffs == other.coeffs
-            if self.is_rational and other.is_rational:
-                return self.coeffs[0] == other.coeffs[0]
-            raise VariantError(
-                "cannot compare cyclotomic orders %d and %d" % (self.n, other.n))
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(self.coeffs[0])
-        return hash((self.n, self.coeffs))
-
-    def __repr__(self):
-        return scalar_to_str(self)
-
-
-def _fractions(cs):
-    return _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in cs])
-
-
-class RatFun:
+class RatFun(_Extension):
     """An element of Q(v): numerator/denominator, coprime, monic denominator.
 
     A denominator c*v^k (a Laurent polynomial, the usual case) shares only
@@ -360,6 +353,8 @@ class RatFun:
     """
 
     __slots__ = ("num", "den")
+
+    _variant = (2, 0)
 
     def __init__(self, num, den=(1,)):
         num, den = _fractions(num), _fractions(den)
@@ -384,128 +379,63 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("RatFun is immutable")
-
     @staticmethod
     def gen() -> "RatFun":
         return RatFun((0, 1))
 
     @staticmethod
     def of(value) -> "RatFun":
-        return RatFun((Fraction(value),))
+        return RatFun((value,))
 
-    @property
-    def is_rational(self) -> bool:
-        return _pdeg(self.num) <= 0 and _pdeg(self.den) == 0
+    def _key(self):
+        return (self.num, self.den)
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise VariantError("not a rational value: %s" % self)
-        return self.num[0]
+    def _constant(self):
+        if len(self.num) == 1 and len(self.den) == 1:
+            return self.num[0]
+        return None
 
     def __bool__(self):
         return _pdeg(self.num) >= 0
 
-    def _coerce(self, other):
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, Cyclotomic):
-            raise VariantError("cannot mix cyclotomic and ratfun scalars")
-        if isinstance(other, (int, Fraction)):
-            return RatFun.of(other)
-        return None
-
     # RatFun is immutable, so an operand can be returned as the result.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
+        if type(other) is not RatFun:
+            return _common(operator.add, self, other)
+        if not other:
             return self
         if not self:
-            return o
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return RatFun(num, _pmul(self.den, o.den))
-
-    __radd__ = __add__
+            return other
+        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
+        return RatFun(num, _pmul(self.den, other.den))
 
     def __neg__(self):
         return RatFun(_pneg(self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
+        if type(other) is not RatFun:
+            return _common(operator.sub, self, other)
+        if not other:
             return self
         if not self:
-            return -o
-        num = _psub(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return RatFun(num, _pmul(self.den, o.den))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+            return -other
+        num = _psub(_pmul(self.num, other.den), _pmul(other.num, self.den))
+        return RatFun(num, _pmul(self.den, other.den))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not RatFun:
+            return _common(operator.mul, self, other)
         if not self:
             return self
-        if not o:
-            return o
-        return RatFun(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
+        if not other:
+            return other
+        return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def inverse(self) -> "RatFun":
         if not self:
             raise ZeroDivisionError("rational function division by zero")
         return RatFun(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = RatFun.of(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.num[0] == other
-        if isinstance(other, RatFun):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(self.num[0] if self.num else _F0)
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return scalar_to_str(self)
 
 
 # v with q = v^2 is the convention used by the quantized enveloping algebra.
@@ -520,7 +450,7 @@ def as_scalar(x):
     """Normalize python ints to Fractions; pass exact scalars through."""
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (Fraction, Cyclotomic, RatFun)):
+    if isinstance(x, (Fraction, _Extension)):
         return x
     raise VariantError("unsupported scalar type %r" % type(x).__name__)
 
@@ -534,58 +464,70 @@ def variant_name(x) -> str:
     return "ratfun"
 
 
-def unify(values):
-    """Promote a list of scalars to a common variant.
-
-    Rationals embed into whichever extension occurs; distinct extensions
-    (or distinct cyclotomic orders) raise VariantError.
-    """
-    values = [as_scalar(v) for v in values]
-    target = None
-    for v in values:
-        if isinstance(v, Cyclotomic):
-            if isinstance(target, RatFun):
-                raise VariantError("cannot mix cyclotomic and ratfun scalars")
-            if isinstance(target, Cyclotomic) and target.n != v.n:
-                raise VariantError(
-                    "cyclotomic orders differ: %d vs %d" % (target.n, v.n))
-            target = v
-        elif isinstance(v, RatFun):
-            if isinstance(target, Cyclotomic):
-                raise VariantError("cannot mix cyclotomic and ratfun scalars")
-            target = v
-    if target is None:
-        return values
-    return [promote_like(v, target) for v in values]
-
-
 def promote_like(x, exemplar):
-    """Promote scalar x into the variant of exemplar."""
-    x = as_scalar(x)
-    if isinstance(exemplar, Fraction):
-        if isinstance(x, Fraction):
-            return x
-        if x.is_rational:
-            return x.as_fraction()
-        raise VariantError("cannot demote %s to rational" % variant_name(x))
+    """Promote scalar x into the variant of exemplar.
+
+    This is the one rule for mixing scalars: an int, a Fraction or a
+    rational-valued element of either extension goes into any variant,
+    while a non-rational element goes only into its own field.
+    """
+    x, exemplar = as_scalar(x), as_scalar(exemplar)
+    if _variant_of(x) == _variant_of(exemplar):
+        return x
+    if not isinstance(x, Fraction):
+        c = x._constant()
+        if c is None:
+            raise VariantError("cannot mix %s and %s scalars"
+                               % (variant_name(x), variant_name(exemplar)))
+        x = c
     if isinstance(exemplar, Cyclotomic):
-        if isinstance(x, Fraction):
-            return Cyclotomic.of(exemplar.n, x)
-        if isinstance(x, Cyclotomic):
-            if x.n == exemplar.n:
-                return x
-            if x.is_rational:
-                return Cyclotomic.of(exemplar.n, x.as_fraction())
-            raise VariantError(
-                "cyclotomic orders differ: %d vs %d" % (x.n, exemplar.n))
-        raise VariantError("cannot promote ratfun to cyclotomic")
+        return Cyclotomic.of(exemplar.n, x)
     if isinstance(exemplar, RatFun):
-        if isinstance(x, Fraction):
-            return RatFun.of(x)
-        if isinstance(x, RatFun):
-            return x
-        raise VariantError("cannot promote cyclotomic to ratfun")
-    raise VariantError("unsupported exemplar %r" % type(exemplar).__name__)
+        return RatFun.of(x)
+    return x
+
+
+def _variant_of(x):
+    # (0, 0) for Q, (1, n) for Q(zeta_n), (2, 0) for Q(v)
+    return x._variant if isinstance(x, _Extension) else (0, 0)
+
+
+def _rank(x):
+    """Order in which operands lend a mix their variant.
+
+    A non-rational element outranks every rational value, so a mix that
+    can be formed at all is formed in its one possible field; among
+    rational values the order of ``_variant`` decides.  Either way the
+    result does not depend on the order of the operands.
+    """
+    return (isinstance(x, _Extension) and x._constant() is None,
+            _variant_of(x))
+
+
+def _common(op, a, b):
+    """op(a, b) in the common variant of a and b.
+
+    NotImplemented when either is not a scalar.
+    """
+    if type(a) is type(b) and a._variant == b._variant:
+        return op(a, b)
+    if not (isinstance(a, _SCALARS) and isinstance(b, _SCALARS)):
+        return NotImplemented
+    exemplar = max(a, b, key=_rank)
+    return op(promote_like(a, exemplar), promote_like(b, exemplar))
+
+
+_SCALARS = (int, Fraction, _Extension)
+
+
+def unify(values):
+    """Promote a list of scalars to their common variant (``promote_like``)."""
+    values = [as_scalar(v) for v in values]
+    extensions = [v for v in values if not isinstance(v, Fraction)]
+    if not extensions:
+        return values
+    exemplar = max(extensions, key=_rank)
+    return [promote_like(v, exemplar) for v in values]
 
 
 def collect(terms) -> dict:

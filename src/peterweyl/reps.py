@@ -24,7 +24,7 @@ from math import lcm
 
 from .errors import InternalError, PreconditionError, RealizabilityError
 from .exact.linalg import Matrix
-from .exact.scalars import Cyclotomic, VariantError, as_scalar, collect
+from .exact.scalars import Cyclotomic, VariantError, collect, promote_like
 from .groups import Group, from_descriptor, same_group
 from .hopf import Functional
 
@@ -416,12 +416,10 @@ class K0Element:
 
 
 def _as_rational(x):
-    x = as_scalar(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Cyclotomic) and x.is_rational:
-        return x.as_fraction()
-    raise InternalError("expected a rational value, got %r" % (x,))
+    try:
+        return promote_like(x, _F0)
+    except VariantError as e:
+        raise InternalError("expected a rational value, got %r" % (x,)) from e
 
 
 def decompose_character(grp: Group, chi) -> K0Element:

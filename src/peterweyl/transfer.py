@@ -158,14 +158,19 @@ def in_a_conditions(p):
     return ok_product, ok_translation, ok_adjoint
 
 
-def in_a(p) -> bool:
-    """Admissibility; the three equivalent conditions must agree."""
-    a, b, c = in_a_conditions(p)
+def _admissible(conds) -> bool:
+    """The one verdict of the three admissibility conditions."""
+    a, b, c = conds
     if not (a == b == c):
         raise InternalError(
             "the equivalent admissibility conditions disagree: %s %s %s"
             % (a, b, c))
     return a
+
+
+def in_a(p) -> bool:
+    """Admissibility; the three equivalent conditions must agree."""
+    return _admissible(in_a_conditions(p))
 
 
 def _is_central(x: AlgebraElement) -> bool:
@@ -190,9 +195,14 @@ def equivariance_check(p) -> bool:
     return True
 
 
-def center_image_check(p) -> bool:
-    """phi sends every class function into the center."""
-    if not in_a(p):
+def center_image_check(p, conds=None) -> bool:
+    """phi sends every class function into the center.
+
+    ``conds`` are p's admissibility conditions, when the caller has them.
+    """
+    if conds is None:
+        conds = in_a_conditions(p)
+    if not _admissible(conds):
         raise PreconditionError(
             "the center-image property requires an admissible tensor")
     t = _tensor_of(p)
@@ -454,9 +464,6 @@ class MembershipReport:
     def __init__(self, conds, multiplicative, witnesses,
                  character_multiplicative, rank, center_image):
         a, b, c = conds
-        if not (a == b == c):
-            raise InternalError(
-                "the equivalent admissibility conditions disagree")
         object.__setattr__(self, "product_condition", a)
         object.__setattr__(self, "translation_condition", b)
         object.__setattr__(self, "adjoint_condition", c)
@@ -488,13 +495,13 @@ class MembershipReport:
 def membership_report(p) -> MembershipReport:
     t = _tensor_of(p)
     conds = in_a_conditions(t)
-    admissible = conds[0] and conds[1] and conds[2]
+    admissible = _admissible(conds)
     m_ok, witnesses = in_m(t)
     # the two multiplicativity conditions are independent: a candidate can
     # be multiplicative on characters while a pairwise component product
     # escapes its target, so M0 is always computed outright
     m0_ok = in_m0(t)
-    center = center_image_check(t) if admissible else False
+    center = center_image_check(t, conds) if admissible else False
     return MembershipReport(conds, m_ok, witnesses, m0_ok, phi_rank(t),
                             center)
 

@@ -27,7 +27,6 @@ the modules' tensor decompositions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     VariantError,
 )
 from .exact.linalg import Matrix, Subspace, nullspace
-from .exact.scalars import RatFun, collect, scalar_to_str
+from .exact.scalars import RatFun, collect, promote_like, scalar_to_str
 
 _V = RatFun.gen()
 _R1 = RatFun.of(1)
@@ -80,11 +79,7 @@ _QDIFF = qpow(1) - qpow(-1)
 
 
 def _coeff(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFun.of(x)
-    raise VariantError("coefficients live in Q(v), got %r" % (x,))
+    return x if type(x) is RatFun else promote_like(x, _R1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +127,11 @@ class UqElement:
 
     def __init__(self, terms=()):
         clean: dict = {}
-        for (a, b, c), v in collect(terms).items():
+        for key, v in collect(terms).items():
+            a, _, c = key
             if a < 0 or c < 0:
-                raise PreconditionError("negative E or F exponent: %r" % ((a, b, c),))
-            clean[int(a), int(b), int(c)] = _coeff(v)
+                raise PreconditionError("negative E or F exponent: %r" % (key,))
+            clean[key] = _coeff(v)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):

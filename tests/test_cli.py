@@ -296,6 +296,33 @@ def test_malformed_p_file_exits_two(tmp_path, capsys, field, value):
     assert json.loads(captured.err)["error"]["kind"] == "input"
 
 
+def _z3_bicharacter_file(path, first):
+    """P = (1/3) sum zeta^(ab) a (x) b on Z3, its (0, 0) coefficient as given."""
+    coeff = ["1/3", "[0/1,1/3]@zeta(3)", "[0/1,0/1,1/3]@zeta(3)"]
+    terms = [[a, b, coeff[a * b % 3]] for a in range(3) for b in range(3)]
+    terms[0][2] = first
+    path.write_text(json.dumps({"note": "bicharacter", "tensor": {
+        "group": {"kind": "cyclic", "n": 3}, "arity": 2, "terms": terms}}))
+    return str(path)
+
+
+def test_rational_coefficient_from_another_cyclotomic_field(tmp_path):
+    # 1/3 written in Q(zeta_5) is still the rational 1/3, so it joins the
+    # Q(zeta_3) coefficients of the rest of the tensor
+    docs = []
+    for name, first in (("plain", "1/3"), ("mixed", "[1/3,0/1,0/1,0/1]@zeta(5)")):
+        out = tmp_path / (name + "-v.json")
+        pfile = _z3_bicharacter_file(tmp_path / (name + ".json"), first)
+        assert main(["verify", "--group", "Z3", "--p-file", pfile,
+                     "--require", "A,M,M0,full-rank,center-image",
+                     "--out", str(out)]) == 0
+        doc = _read(out)
+        del doc["config"]["p_file"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["report"]["rank"] == 3
+
+
 def test_out_into_a_missing_directory_exits_two(tmp_path, capsys):
     out = tmp_path / "missing" / "v.json"
     assert main(["uq", "center", "--n", "0", "--out", str(out)]) == 2

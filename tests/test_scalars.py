@@ -455,3 +455,132 @@ def test_immutability():
     v = RatFun.gen()
     with pytest.raises(AttributeError):
         v.num = (Fraction(1),)
+
+
+# ---------------------------------------------------------------------------
+# one mixing rule across variants
+# ---------------------------------------------------------------------------
+#
+# The rule, stated here independently of the package: a rational value
+# (an int, a Fraction, or an extension element whose value is rational)
+# goes into any variant; non-rational elements of two different fields
+# never mix.
+
+_ORDERS = (3, 4, 5, 7)
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _cyclotomics(draw, orders=_ORDERS):
+    n = draw(st.sampled_from(orders))
+    d = len(cyclotomic_polynomial(n)) - 1
+    coeffs = draw(st.lists(_small, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        coeffs = coeffs[:1]
+    return Cyclotomic(n, coeffs)
+
+
+_ratfuns = st.one_of(st.builds(RatFun.of, _small),
+                     st.builds(lambda parts: RatFun(*parts), _ratfun_parts()))
+_mixed_scalars = st.one_of(_small, _cyclotomics(), _ratfuns)
+
+
+def _value_is_rational(x):
+    return isinstance(x, Fraction) or x.is_rational
+
+
+def _clash(a, b):
+    return (not _value_is_rational(a) and not _value_is_rational(b)
+            and variant_name(a) != variant_name(b))
+
+
+@given(_mixed_scalars, _mixed_scalars)
+def test_mixed_sums_and_products_commute(a, b):
+    if _clash(a, b):
+        return
+    for left, right in ((a + b, b + a), (a * b, b * a)):
+        assert left == right
+        assert scalar_to_str(left) == scalar_to_str(right)
+
+
+@given(_mixed_scalars, _mixed_scalars)
+def test_variant_error_exactly_when_non_rational_fields_differ(a, b):
+    ops = (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a == b,
+           lambda: b - a, lambda: unify([a, b]))
+    for op in ops:
+        if _clash(a, b):
+            with pytest.raises(VariantError):
+                op()
+        else:
+            op()
+
+
+@given(_mixed_scalars, _mixed_scalars)
+def test_equal_mixed_scalars_hash_equal(a, b):
+    if _clash(a, b):
+        return
+    if a == b:
+        assert hash(a) == hash(b)
+    if _value_is_rational(a) or variant_name(a) == variant_name(b):
+        c = promote_like(a, b)
+        assert variant_name(c) == variant_name(b)
+        assert c == a and a == c and hash(c) == hash(a)
+
+
+@given(_mixed_scalars, _mixed_scalars)
+def test_mixed_division_inverts_multiplication(a, b):
+    if _clash(a, b) or not b:
+        return
+    assert (a * b) / b == a
+    assert (a / b) * b == a
+
+
+def test_rational_valued_extensions_mix_one_way():
+    a, b = Cyclotomic.of(5, 2), Cyclotomic.of(7, 1)
+    z5 = Cyclotomic.zeta(5)
+    assert a + b == 3
+    assert unify([a, b]) == [2, 1]
+    assert promote_like(b, z5) == 1
+    assert z5 + b == z5 + 1 == b + z5
+    assert (z5 == b) is False
+    assert RatFun.gen() + Cyclotomic.of(3, 2) == RatFun.gen() + 2
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic normal form and canonical strings
+# ---------------------------------------------------------------------------
+
+def _reduce_by_phi(n, coeffs):
+    # x^d = -(Phi_n - x^d), applied from the top degree down
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    cs = [Fraction(c) for c in coeffs]
+    for k in range(len(cs) - 1, d - 1, -1):
+        top, cs[k] = cs[k], Fraction(0)
+        for i in range(d):
+            cs[k - d + i] -= top * phi[i]
+    cs += [Fraction(0)] * d
+    return tuple(cs[:d])
+
+
+@given(st.sampled_from(_ORDERS + (1, 2, 8, 12)),
+       st.lists(_small, min_size=1, max_size=16))
+def test_cyclotomic_normal_form_is_the_remainder_mod_phi(n, coeffs):
+    x = Cyclotomic(n, coeffs)
+    d = len(cyclotomic_polynomial(n)) - 1
+    assert len(x.coeffs) == d
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == _reduce_by_phi(n, coeffs)
+    shifted = _pmul(_ptrim([Fraction(c) for c in coeffs]),
+                    cyclotomic_polynomial(n))
+    assert Cyclotomic(n, shifted) == 0
+    assert x.is_rational == (not any(x.coeffs[1:]))
+
+
+@given(_cyclotomics(_ORDERS + (8, 12)))
+def test_cyclotomic_string_round_trip(x):
+    text = scalar_to_str(x)
+    back = scalar_from_str(text)
+    assert back == x and hash(back) == hash(x)
+    assert back.n == x.n and back.coeffs == x.coeffs
+    assert scalar_to_str(back) == text
