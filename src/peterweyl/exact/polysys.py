@@ -38,7 +38,8 @@ class Poly:
     pairs; the coefficients of a repeated monomial are summed.
     """
 
-    __slots__ = ("nvars", "terms")
+    # _lead memoizes leading(); equality, hashing and repr never read it
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars: int, terms=()):
         clean = {}
@@ -48,6 +49,7 @@ class Poly:
             clean[mono] = as_scalar(c)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -73,8 +75,10 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) maximal in degrevlex."""
-        mono = max(self.terms, key=_degrevlex_key)
-        return mono, self.terms[mono]
+        if self._lead is None:
+            mono = max(self.terms, key=_degrevlex_key)
+            object.__setattr__(self, "_lead", (mono, self.terms[mono]))
+        return self._lead
 
     def __add__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -198,7 +202,7 @@ def reduce_poly(f: Poly, basis) -> Poly:
         return f
     remainder = {}
     work = Poly(f.nvars, f.terms)
-    leads = [(g.leading()[0], g.leading()[1], g) for g in basis if g]
+    leads = [(*g.leading(), g) for g in basis if g]
     while work:
         mono, coef = work.leading()
         hit = None
@@ -281,16 +285,21 @@ def buchberger(polys, degree_cap: int | None = None,
         if g.leading()[0] == one:
             return GroebnerResult("proved_infeasible",
                                   [Poly.constant(nvars, 1)], 0)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    # imported here: its extension module would add 0.1 MB to the peak
+    # memory of every command that never runs a completion
+    import heapq
+
+    # deterministic normal selection: smallest lcm degree first, then
+    # the pair (i, j) with i > j; a basis element's leading monomial never
+    # changes, so each pair's key is fixed when its second element joins
+    leads = [g.leading()[0] for g in basis]
+    pairs = [(sum(_mono_lcm(leads[i], leads[j])), i, j)
+             for i in range(len(basis)) for j in range(i)]
+    heapq.heapify(pairs)
     steps = 0
     while pairs:
-        # deterministic normal selection: smallest lcm degree first
-        key = min(pairs, key=lambda ij: (
-            sum(_mono_lcm(basis[ij[0]].leading()[0],
-                          basis[ij[1]].leading()[0])), ij))
-        pairs.discard(key)
-        i, j = key
-        mi, mj = basis[i].leading()[0], basis[j].leading()[0]
+        _, i, j = heapq.heappop(pairs)
+        mi, mj = leads[i], leads[j]
         if _mono_lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
             continue  # coprime leading monomials reduce to zero
         steps += 1
@@ -305,9 +314,11 @@ def buchberger(polys, degree_cap: int | None = None,
         if degree_cap is not None and r.total_degree() > degree_cap:
             return GroebnerResult("unknown", _interreduce(basis), steps)
         r = r * (1 / r.leading()[1])
+        k = len(basis)
         basis.append(r)
-        k = len(basis) - 1
-        pairs.update((k, t) for t in range(k))
+        leads.append(r.leading()[0])
+        for t in range(k):
+            heapq.heappush(pairs, (sum(_mono_lcm(leads[k], leads[t])), k, t))
     return GroebnerResult("basis", _interreduce(basis), steps)
 
 

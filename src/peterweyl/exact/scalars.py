@@ -260,6 +260,9 @@ class _Extension:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # what _common would decide, without promoting other
+            return self._constant() == other
         return _common(_same_key, self, other)
 
     def __hash__(self):

@@ -148,6 +148,23 @@ def test_search_dihedral_finds_nothing(tmp_path):
     assert doc["outcome"]["survivors"] == 0
 
 
+@pytest.mark.parametrize("token, encoding", [
+    ("Z2xZ2", "bijectivity encoded through t*det - 1"),
+    ("S3", "bijectivity left as a side condition (determinant too large)"),
+], ids=["Z2xZ2", "S3"])
+def test_capped_groebner_search_stops_at_its_step_cap(tmp_path, token,
+                                                      encoding):
+    # the two capped completions of the benchmark's search workload
+    out = tmp_path / "g.json"
+    code = main(["search", "--group", token, "--strategy", "groebner",
+                 "--degree-cap", "2", "--step-cap", "20", "--out", str(out)])
+    assert code == 1
+    outcome = _read(out)["outcome"]
+    assert outcome["verdict"] == "NoneFoundBounded"
+    assert outcome["log"] == [encoding,
+                              "completion status: unknown after 21 steps"]
+
+
 def test_search_verify_only_family():
     assert main(["search", "--group", "S3", "--strategy", "verify-only",
                  "--family", "s3", "--lambda", "1", "--mu", "1",

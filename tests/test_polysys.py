@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peterweyl.errors import DimensionError
 from peterweyl.exact.linalg import Infeasible, solve_linear
@@ -12,9 +14,14 @@ from peterweyl.exact.polysys import (
     Poly,
     PolySystem,
     _degrevlex_key,
+    _interreduce,
+    _mono_lcm,
+    _spoly,
     buchberger,
     reduce_poly,
 )
+from peterweyl.groups import symmetric
+from peterweyl.search import assemble_constraints
 
 from _gen import rand_frac
 
@@ -54,6 +61,36 @@ def test_leading_term():
     assert mono == (0, 3) and coef == 1
     p = 2 * x ** 2 + 3 * x * y
     assert p.leading() == ((2, 0), F(2))
+
+
+@st.composite
+def _polys(draw, nvars=None, min_terms=0, max_degree=3, max_terms=4):
+    """A polynomial with small integer coefficients in nvars variables
+    (2 or 3 if not given) and of total degree at most max_degree."""
+    if nvars is None:
+        nvars = draw(st.integers(2, 3))
+    mono = st.lists(st.integers(0, max_degree), min_size=nvars,
+                    max_size=nvars).filter(lambda m: sum(m) <= max_degree)
+    coef = st.integers(-3, 3).filter(bool).map(Fraction)
+    terms = draw(st.lists(st.tuples(mono.map(tuple), coef),
+                          min_size=min_terms, max_size=max_terms,
+                          unique_by=lambda t: t[0]))
+    return Poly(nvars, terms)
+
+
+@given(_polys())
+def test_leading_term_is_memoized_without_changing_the_poly(p):
+    fresh = Poly(p.nvars, p.terms)
+    if p:
+        mono = max(p.terms, key=_degrevlex_key)
+        assert p.leading() == (mono, p.terms[mono])
+        assert p.leading() == (mono, p.terms[mono])
+    # fresh never computed its leading term
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    with pytest.raises(AttributeError):
+        p.x = 1
+    with pytest.raises(AttributeError):
+        p._lead = ((0,) * p.nvars, F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +275,81 @@ def test_buchberger_agrees_with_linear_solver():
                           for i in range(n)}
                 assert set(res.basis) == expect
     assert seen_infeasible > 0 and seen_unique > 0
+
+
+# ---------------------------------------------------------------------------
+# Buchberger against the pair scan it replaced
+# ---------------------------------------------------------------------------
+
+def _lead_uncached(p):
+    mono = max(p.terms, key=_degrevlex_key)
+    return mono, p.terms[mono]
+
+
+def _oracle_buchberger(polys, degree_cap=None, step_cap=None):
+    """(status, basis, steps) of the completion as it selected pairs before
+    the heap: a min over the set of pending pairs by (lcm degree, (i, j)),
+    with every leading term recomputed where it is read."""
+    basis = [p * (1 / _lead_uncached(p)[1]) for p in polys if p]
+    if not basis:
+        return "basis", (), 0
+    nvars = basis[0].nvars
+    one = (0,) * nvars
+    if any(_lead_uncached(g)[0] == one for g in basis):
+        return "proved_infeasible", (Poly.constant(nvars, 1),), 0
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    steps = 0
+    while pairs:
+        key = min(pairs, key=lambda ij: (
+            sum(_mono_lcm(_lead_uncached(basis[ij[0]])[0],
+                          _lead_uncached(basis[ij[1]])[0])), ij))
+        pairs.discard(key)
+        i, j = key
+        mi, mj = _lead_uncached(basis[i])[0], _lead_uncached(basis[j])[0]
+        if _mono_lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
+            continue
+        steps += 1
+        if step_cap is not None and steps > step_cap:
+            return "unknown", tuple(_interreduce(basis)), steps
+        r = reduce_poly(_spoly(basis[i], basis[j]), basis)
+        if not r:
+            continue
+        if _lead_uncached(r)[0] == one:
+            return "proved_infeasible", (Poly.constant(nvars, 1),), steps
+        if degree_cap is not None and r.total_degree() > degree_cap:
+            return "unknown", tuple(_interreduce(basis)), steps
+        basis.append(r * (1 / _lead_uncached(r)[1]))
+        k = len(basis) - 1
+        pairs.update((k, t) for t in range(k))
+    return "basis", tuple(_interreduce(basis)), steps
+
+
+@st.composite
+def _small_systems(draw):
+    nvars = draw(st.integers(2, 3))
+    polys = draw(st.lists(_polys(nvars=nvars, min_terms=2), min_size=2,
+                          max_size=4))
+    degree_cap = draw(st.one_of(st.none(), st.integers(1, 4)))
+    step_cap = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return polys, degree_cap, step_cap
+
+
+@given(_small_systems())
+def test_buchberger_matches_the_pair_scan_oracle(system):
+    polys, degree_cap, step_cap = system
+    res = buchberger(polys, degree_cap=degree_cap, step_cap=step_cap)
+    assert (res.status, res.basis, res.steps) == _oracle_buchberger(
+        polys, degree_cap=degree_cap, step_cap=step_cap)
+
+
+def test_buchberger_matches_the_oracle_on_the_s3_system():
+    # the caps of the benchmark's capped S3 search (its 21st step hits
+    # the step cap)
+    polys = assemble_constraints(symmetric(3)).polys
+    res = buchberger(polys, degree_cap=2, step_cap=20)
+    assert (res.status, res.steps) == ("unknown", 21)
+    assert (res.status, res.basis, res.steps) == _oracle_buchberger(
+        polys, degree_cap=2, step_cap=20)
 
 
 # ---------------------------------------------------------------------------

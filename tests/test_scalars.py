@@ -12,10 +12,12 @@ from peterweyl.errors import ParseError, VariantError
 from peterweyl.exact.scalars import (
     Cyclotomic,
     RatFun,
+    _common,
     _pdivmod,
     _pgcd,
     _pmul,
     _ptrim,
+    _same_key,
     as_scalar,
     collect,
     cyclotomic_polynomial,
@@ -533,6 +535,18 @@ def test_mixed_division_inverts_multiplication(a, b):
         return
     assert (a * b) / b == a
     assert (a / b) * b == a
+
+
+@given(st.one_of(_cyclotomics(), _ratfuns), _small, st.booleans())
+def test_equality_with_a_rational_agrees_with_promotion(x, c, same):
+    # == with an int or Fraction skips promote_like; it must decide as
+    # the promoted comparison does
+    if same and x.is_rational:
+        c = x.as_fraction()
+    for other in (c, int(c)) if c.denominator == 1 else (c,):
+        expect = _common(_same_key, x, other)
+        assert (x == other) is expect and (other == x) is expect
+        assert (x != other) is (not expect)
 
 
 def test_rational_valued_extensions_mix_one_way():
