@@ -11,9 +11,12 @@ Everything is computed exactly; there is no numeric tolerance anywhere.
   reconstruction, and then a mandatory exact verification of the candidate
   (solution, nullspace vector, or infeasibility certificate) over Q.
 
-The fast route can never return a wrong answer: every candidate is checked
-with exact rational arithmetic before being accepted, and on any failure the
-reference route runs instead.
+The fast route tries a candidate after the first prime, and after each
+failed try it doubles the number of agreeing primes before the next one
+(1, 2, 4, ...), so a system whose answer has small entries is solved modulo
+one prime.  It can never return a wrong answer: every candidate is checked
+with exact rational arithmetic before being accepted, and if no candidate
+passes, the reference route runs instead.
 """
 
 from __future__ import annotations
@@ -243,14 +246,12 @@ def _dot(row, vec):
 
 
 def _verify_certificate(rows, b, y):
-    for j in range(len(rows[0]) if rows else 0):
-        acc = _F0
-        for i, row in enumerate(rows):
-            if y[i] and row[j]:
-                acc = acc + y[i] * row[j]
-        if acc != 0:
-            return False
-    return _dot(y, b) != 0
+    """Exact check of y.A = 0 and y.b != 0, summed over the nonzero y_i."""
+    acc = [_F0] * (len(rows[0]) if rows else 0)
+    for yi, row in zip(y, rows):
+        if yi:
+            acc = [a + yi * x if x else a for a, x in zip(acc, row)]
+    return not any(acc) and _dot(y, b) != 0
 
 
 def solve_linear(A, b, want_nullspace: bool = True):
@@ -404,7 +405,12 @@ def _crt_pair(r1, m1, r2, m2):
 
 
 def _modp_rref(M: np.ndarray, p: int):
-    """In-place full RREF of int64 matrix mod p; returns pivot column list."""
+    """In-place full RREF of int64 matrix mod p; returns pivot column list.
+
+    Every row from the pivot row down is zero left of the pivot column, so
+    scaling the pivot row and clearing the column only touch the columns
+    from the pivot on.
+    """
     m, n = M.shape
     r = 0
     pivots = []
@@ -419,12 +425,12 @@ def _modp_rref(M: np.ndarray, p: int):
         if i != r:
             M[[r, i]] = M[[i, r]]
         inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
+        M[r, c:] = (M[r, c:] * inv) % p
         colv = M[:, c].copy()
         colv[r] = 0
         nzr = np.nonzero(colv)[0]
         if nzr.size:
-            M[nzr] = (M[nzr] - np.outer(colv[nzr], M[r])) % p
+            M[nzr, c:] = (M[nzr, c:] - np.outer(colv[nzr], M[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -439,44 +445,41 @@ def _solve_modular(rows, b, want_nullspace):
     int_rows = []
     for r, bi in zip(rows, b):
         L = lcm(*(x.denominator for x in r), bi.denominator)
-        int_rows.append([int(x * L) for x in r] + [int(bi * L)])
+        int_rows.append([x.numerator * (L // x.denominator)
+                         for x in (*r, bi)])
         scales.append(L)
     max_abs = max((abs(x) for row in int_rows for x in row), default=0)
     small = max_abs < 2**62
     base = np.array(int_rows, dtype=np.int64) if small else None
 
-    primes = _primes31()
-    batch = 4
-    used = []  # list of (p, R_p, structure)
+    used = []  # (p, tracked RREF mod p) for the primes that agree
     structure = None
-    idx = 0
-    while idx < len(primes):
-        for _ in range(batch):
-            if idx >= len(primes):
-                break
-            p = primes[idx]
-            idx += 1
-            if small:
-                Ab = base % p
-            else:
-                Ab = np.array([[x % p for x in row] for row in int_rows],
-                              dtype=np.int64)
-            track = np.concatenate([Ab, np.eye(m, dtype=np.int64)], axis=1)
-            piv = _modp_rref(track, p)
-            st = tuple(c for c in piv if c <= n)
-            if structure is None or st != structure:
-                # rank can only drop modulo a bad prime, so the structure with
-                # the most pivots is the plausible one; keep the richest
-                if structure is None or len(st) > len(structure):
-                    structure = st
-                    used = [(p, track)]
-                # primes showing fewer pivots are discarded as bad
-                continue
-            used.append((p, track))
+    tries_at = 1  # agreeing primes needed for the next candidate
+    for p in _primes31():
+        if small:
+            Ab = base % p
+        else:
+            Ab = np.array([[x % p for x in row] for row in int_rows],
+                          dtype=np.int64)
+        track = np.concatenate([Ab, np.eye(m, dtype=np.int64)], axis=1)
+        piv = _modp_rref(track, p)
+        st = tuple(c for c in piv if c <= n)
+        if structure is None or len(st) > len(structure):
+            # rank can only drop modulo a bad prime, so the structure with
+            # the most pivots is the plausible one; keep the richest and
+            # start its schedule afresh
+            structure, used, tries_at = st, [], 1
+        elif st != structure:
+            # primes showing another structure are discarded as bad
+            continue
+        used.append((p, track))
+        if len(used) < tries_at:
+            continue
         result = _assemble_modular(rows, b, int_rows, scales, used, structure,
                                    n, m, want_nullspace)
         if result is not None:
             return result
+        tries_at *= 2
     return None
 
 

@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from peterweyl.errors import DimensionError
+from peterweyl.exact import linalg
 from peterweyl.exact.linalg import (
     Infeasible,
     LinearSolution,
@@ -13,6 +17,7 @@ from peterweyl.exact.linalg import (
     Subspace,
     _MODULAR_THRESHOLD,
     _dot,
+    _modp_rref,
     _primes31,
     _rat_reconstruct,
     _solve_exact,
@@ -285,6 +290,108 @@ def test_modular_route_itself_with_fractional_entries():
     slow = _solve_exact(rows, b, False)
     assert fast.particular == slow.particular
     assert fast.nullspace == slow.nullspace == ()
+
+
+def _pivot_counts(monkeypatch):
+    """Record the number of pivots left of the row-tracking block of every
+    elimination the modular route runs."""
+    counts = []
+
+    def counting(M, p):
+        pivots = _modp_rref(M, p)
+        tracked_from = M.shape[1] - M.shape[0]
+        counts.append(sum(c < tracked_from for c in pivots))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_modp_rref", counting)
+    return counts
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_modular_route_survives_a_bad_first_prime(monkeypatch, feasible):
+    # row 1 is row 0 plus p e_3 for the first prime p, so the rank drops
+    # modulo p: the candidate tried after that one prime must be rejected
+    # and the answer must still be the reference one
+    p = _primes31()[0]
+    rng = random.Random(210)
+    m, n = 80, 124
+    rows = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
+    rows[1] = list(rows[0])
+    rows[1][3] += p
+    if feasible:
+        x0 = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        b = [_dot(r, x0) for r in rows]
+    else:
+        rows[m - 1] = list(rows[0])
+        b = [F(rng.randint(-9, 9)) for _ in range(m)]
+        b[m - 1] = b[0] + 1
+    counts = _pivot_counts(monkeypatch)
+    fast = _solve_modular(rows, b, True)
+    assert len(counts) >= 2 and counts[0] < counts[1]
+    slow = _solve_exact(rows, b, True)
+    if feasible:
+        assert check_solution(rows, b, fast) == "feasible"
+        assert fast.particular == slow.particular
+        assert fast.nullspace == slow.nullspace
+    else:
+        assert check_solution(rows, b, fast) == "infeasible"
+        assert fast.certificate == slow.certificate
+
+
+def _oracle_modp_rref(M, p):
+    """The full-width elimination: every update rewrites whole rows."""
+    m, n = M.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), p - 2, p)) % p
+        colv = M[:, c].copy()
+        colv[r] = 0
+        nzr = np.nonzero(colv)[0]
+        if nzr.size:
+            M[nzr] = (M[nzr] - np.outer(colv[nzr], M[r])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@st.composite
+def _modp_matrices(draw):
+    """A matrix mod p with zero columns, repeated rows and dependent rows."""
+    p = draw(st.sampled_from([7, _primes31()[0]]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 9))
+    entry = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[c] = 0
+    # each extra row is row i + k * row j; k = 0 repeats row i
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                           st.integers(0, m - 1),
+                                           st.integers(0, p - 1)),
+                                 max_size=4)):
+        rows.append([(a + k * b) % p for a, b in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64), p
+
+
+@given(_modp_matrices())
+def test_modp_rref_matches_full_width_elimination(mp):
+    M, p = mp
+    expect = M.copy()
+    expect_pivots = _oracle_modp_rref(expect, p)
+    assert _modp_rref(M, p) == expect_pivots
+    assert np.array_equal(M, expect)
 
 
 # ---------------------------------------------------------------------------

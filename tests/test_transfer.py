@@ -12,6 +12,7 @@ Independent oracles used here:
   table, is rebuilt here from roots of unity, factor by factor.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from peterweyl.errors import (
     PreconditionError,
     RealizabilityError,
 )
+from peterweyl.exact import linalg
 from peterweyl.exact.linalg import Infeasible, Subspace
 from peterweyl.exact.scalars import Cyclotomic
 from peterweyl.groups import (
@@ -324,6 +326,46 @@ def test_v4_bicharacter_has_a_factorization_tensor():
     t4 = solve_t(cand)
     assert isinstance(t4, TensorElement)
     assert check_t(cand, t4)
+
+
+# sha256 pins of two solve_t answers, so that a change to the exact solver
+# that alters a certificate or a T cannot pass unnoticed
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_s3_family_certificate_is_pinned():
+    res = solve_t(s3_family(F(3, 2), F(-7, 3)))
+    assert isinstance(res, Infeasible)
+    assert sum(1 for y in res.certificate if y) == 12
+    assert _sha256(",".join(str(y) for y in res.certificate)) == (
+        "acdd2f2cdc3c7d66833dee14dced14d45ea75f19dbc0f29b296633cde72521a3")
+
+
+def test_s3_family_system_is_eliminated_modulo_one_prime(monkeypatch):
+    # the certificate's entries are small integers, so the candidate tried
+    # after the first prime already verifies
+    modp_rref = linalg._modp_rref
+    primes = []
+
+    def recording(M, p):
+        primes.append(p)
+        return modp_rref(M, p)
+
+    monkeypatch.setattr(linalg, "_modp_rref", recording)
+    assert isinstance(solve_t(s3_family(F(3, 2), F(-7, 3))), Infeasible)
+    assert primes == [linalg._primes31()[0]]
+
+
+def test_v4_bicharacter_t_is_pinned():
+    grp = parse_group("Z2xZ2")
+    cand = p_from_r(TensorElement.unit(grp, 2), bicharacter_r(grp),
+                    AlgebraElement.one(grp))
+    t4 = solve_t(cand)
+    terms = sorted((k, str(v)) for k, v in t4.terms.items())
+    assert _sha256(repr(terms)) == (
+        "355ce715b59bc644a1ece77df5eded3d1fcacbeab6382bf544b7bfa7e29032e5")
 
 
 def test_proof_formula_tensor_passes_both_checks():
