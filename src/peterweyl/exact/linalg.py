@@ -28,7 +28,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from .scalars import as_scalar, unify
+from .scalars import Frozen, as_scalar, unify
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -37,7 +37,7 @@ _F1 = Fraction(1)
 _MODULAR_THRESHOLD = 10_000
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix over one scalar variant."""
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -54,9 +54,6 @@ class Matrix:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def identity(n: int):
@@ -201,7 +198,7 @@ def rref(rows):
     return tuple(tuple(row) for row in work), tuple(pivots)
 
 
-class LinearSolution:
+class LinearSolution(Frozen):
     """A particular solution plus a basis of the homogeneous nullspace."""
 
     __slots__ = ("particular", "nullspace")
@@ -210,14 +207,11 @@ class LinearSolution:
         object.__setattr__(self, "particular", tuple(particular))
         object.__setattr__(self, "nullspace", tuple(tuple(v) for v in nullspace))
 
-    def __setattr__(self, *a):
-        raise AttributeError("LinearSolution is immutable")
-
     def __repr__(self):
         return "LinearSolution(nullity=%d)" % len(self.nullspace)
 
 
-class Infeasible:
+class Infeasible(Frozen):
     """Proof that A x = b has no solution.
 
     ``certificate`` is a vector y with y.A = 0 and y.b = 1; its existence is
@@ -229,9 +223,6 @@ class Infeasible:
 
     def __init__(self, certificate):
         object.__setattr__(self, "certificate", tuple(certificate))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Infeasible is immutable")
 
     def __repr__(self):
         return "Infeasible()"
@@ -542,7 +533,7 @@ def _assemble_modular(rows, b, int_rows, scales, used, structure, n, m,
 # subspaces
 # ---------------------------------------------------------------------------
 
-class Subspace:
+class Subspace(Frozen):
     """A subspace of k^n in canonical form: RREF basis plus pivot columns.
 
     Two Subspace objects are equal exactly when they are the same subspace,
@@ -564,9 +555,6 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:

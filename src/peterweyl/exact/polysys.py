@@ -5,10 +5,13 @@ defaults and most uses are rational.  The monomial order is degree reverse
 lexicographic throughout.  The completion is honest about its limits: it
 returns one of
 
-* ``"basis"``             a completed (reduced) Groebner basis,
+* ``"basis"``             a completed Groebner basis, the only status whose
+                          basis is reduced,
 * ``"proved_infeasible"`` the constant 1 entered the ideal, so the system
                           has no solution over any field extension,
-* ``"unknown"``           a degree or step cap was hit first.
+* ``"unknown"``           a degree or step cap was hit first; the basis is
+                          the partial one the completion had reached, monic
+                          but not interreduced.
 
 A cap can therefore never turn into a false claim in either direction.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DimensionError
-from .scalars import Cyclotomic, RatFun, as_scalar, collect
+from .scalars import Cyclotomic, Frozen, RatFun, Terms, as_scalar, collect
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -31,7 +34,7 @@ def _degrevlex_key(mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-class Poly:
+class Poly(Terms):
     """Polynomial in a fixed number of variables with exact coefficients.
 
     ``terms`` is a mapping or an iterable of (exponent tuple, coefficient)
@@ -51,8 +54,23 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lead", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
+    @property
+    def _space(self):
+        return self.nvars
+
+    def _like(self, terms) -> "Poly":
+        return Poly(self.nvars, terms)
+
+    def _mismatch(self, other):
+        raise DimensionError("variable count mismatch")
+
+    def _operand(self, other):
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, _SCALAR_TYPES):
+            # a scalar takes part in sums and comparisons as a constant
+            return Poly.constant(self.nvars, other)
+        return None
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
@@ -67,9 +85,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
@@ -80,36 +95,12 @@ class Poly:
             object.__setattr__(self, "_lead", (mono, self.terms[mono]))
         return self._lead
 
-    def __add__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise DimensionError("variable count mismatch")
-        return Poly(self.nvars, [*self.terms.items(), *other.terms.items()])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            c = as_scalar(other)
-            return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
+            return self._scaled(as_scalar(other))
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.nvars != self.nvars:
-            raise DimensionError("variable count mismatch")
+        self._same_space(other)
         return Poly(self.nvars, [
             (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
             for m1, c1 in self.terms.items()
@@ -129,19 +120,12 @@ class Poly:
             k >>= 1
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
     def __hash__(self):
         # a constant compares equal to its scalar, so it hashes as one
         const = (0,) * self.nvars
         if self.terms.keys() <= {const}:
             return hash(self.terms.get(const, _F0))
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return super().__hash__()
 
     def evaluate(self, values):
         """Evaluate at scalars, or compose by substituting polynomials."""
@@ -227,16 +211,13 @@ def _spoly(f: Poly, g: Poly) -> Poly:
             - _mono_mul_poly(_mono_div(L, mg), 1 / cg, g))
 
 
-class GroebnerResult:
+class GroebnerResult(Frozen):
     __slots__ = ("status", "basis", "steps")
 
     def __init__(self, status, basis, steps):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroebnerResult is immutable")
 
     def __repr__(self):
         return "GroebnerResult(%s, %d polys, %d steps)" % (
@@ -266,7 +247,11 @@ def _interreduce(basis):
 
 def buchberger(polys, degree_cap: int | None = None,
                step_cap: int | None = None) -> GroebnerResult:
-    """Capped Buchberger completion; see the module docstring for statuses."""
+    """Capped Buchberger completion; see the module docstring for statuses.
+
+    Only a ``"basis"`` result is interreduced: a capped run stops without
+    reducing its partial basis.
+    """
     nvars = None
     basis = []
     for p in polys:
@@ -304,7 +289,7 @@ def buchberger(polys, degree_cap: int | None = None,
             continue  # coprime leading monomials reduce to zero
         steps += 1
         if step_cap is not None and steps > step_cap:
-            return GroebnerResult("unknown", _interreduce(basis), steps)
+            return GroebnerResult("unknown", basis, steps)
         r = reduce_poly(_spoly(basis[i], basis[j]), basis)
         if not r:
             continue
@@ -312,7 +297,7 @@ def buchberger(polys, degree_cap: int | None = None,
             return GroebnerResult("proved_infeasible",
                                   [Poly.constant(nvars, 1)], steps)
         if degree_cap is not None and r.total_degree() > degree_cap:
-            return GroebnerResult("unknown", _interreduce(basis), steps)
+            return GroebnerResult("unknown", basis, steps)
         r = r * (1 / r.leading()[1])
         k = len(basis)
         basis.append(r)
@@ -322,7 +307,7 @@ def buchberger(polys, degree_cap: int | None = None,
     return GroebnerResult("basis", _interreduce(basis), steps)
 
 
-class PolySystem:
+class PolySystem(Frozen):
     """A named polynomial system over Q (one shared variable list)."""
 
     __slots__ = ("names", "polys")
@@ -338,9 +323,6 @@ class PolySystem:
                                                    sorted(p.terms))))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "polys", polys)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolySystem is immutable")
 
     @property
     def nvars(self):

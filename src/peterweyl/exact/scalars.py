@@ -208,7 +208,21 @@ def _euler_phi(n: int) -> int:
     return _pdeg(cyclotomic_polynomial(n))
 
 
-class _Extension:
+class Frozen:
+    """An immutable value.
+
+    A subclass lists its fields in ``__slots__`` and sets each one in its
+    constructor through ``object.__setattr__``; setting one afterwards
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class _Extension(Frozen):
     """What Cyclotomic and RatFun derive from their own field operations.
 
     A subclass gives +, -, * and ``inverse`` for two operands of its own
@@ -218,9 +232,6 @@ class _Extension:
     """
 
     __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def is_rational(self) -> bool:
@@ -548,6 +559,74 @@ def collect(terms) -> dict:
         s = get(key)
         out[key] = c if s is None else s + c
     return {key: c for key, c in out.items() if c}
+
+
+class Terms(Frozen):
+    """A sparse element: ``terms`` maps keys to nonzero coefficients.
+
+    Sums, negation, scaling, equality and hashing are the same for every
+    sparse type of the package and are written here.  A subclass gives
+
+    * ``_space``: what two elements must share to be added or compared,
+      such as a group key, a group key with a tensor arity, or a
+      variable count;
+    * ``_like(terms)``: a new element of the same space from a mapping or
+      an iterable of (key, coefficient) pairs, summed by ``collect``;
+    * ``_mismatch(other)``: raises the error for an element of the same
+      type in another space;
+
+    and its own ``__mul__``.  ``_operand`` decides which other values take
+    part in a sum or a comparison: by default only elements of the same
+    type, so any other operand gives NotImplemented.
+    """
+
+    __slots__ = ()
+
+    def _operand(self, other):
+        return other if isinstance(other, type(self)) else None
+
+    def _same_space(self, other):
+        if other._space != self._space:
+            self._mismatch(other)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._same_space(other)
+        return self._like([*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return -self + other
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def _scaled(self, s):
+        return self._like({key: c * s for key, c in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._space == other._space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space, tuple(sorted(self.terms.items()))))
 
 
 def _frac_str(f: Fraction) -> str:

@@ -28,9 +28,10 @@ from collections import deque
 from functools import lru_cache
 
 from .errors import InternalError, PreconditionError
+from .exact.scalars import Frozen
 
 
-class GroupElement:
+class GroupElement(Frozen):
     """One basis element: an owning group plus an index."""
 
     __slots__ = ("group", "index")
@@ -40,9 +41,6 @@ class GroupElement:
             raise PreconditionError("element index out of range")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "index", index)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupElement is immutable")
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -66,7 +64,7 @@ class GroupElement:
         return self.group.elements[self.index]
 
 
-class Group:
+class Group(Frozen):
     """A finite group as an immutable multiplication table."""
 
     __slots__ = ("name", "order", "table", "inv", "elements", "generators",
@@ -98,9 +96,6 @@ class Group:
         object.__setattr__(self, "inv", tuple(inv))
         object.__setattr__(self, "elements",
                            tuple(self._names_from_words()))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Group is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, Group):

@@ -32,6 +32,8 @@ from fractions import Fraction
 from .errors import DimensionError, ParseError, PreconditionError
 from .exact.linalg import Subspace, nullspace
 from .exact.scalars import (
+    Frozen,
+    Terms,
     as_scalar,
     collect,
     scalar_from_str,
@@ -49,7 +51,7 @@ def _clean_terms(terms) -> dict:
     return dict(zip(terms, unify(terms.values())))
 
 
-class AlgebraElement:
+class AlgebraElement(Terms):
     """A sparse element of kG: map from group-element index to scalar.
 
     ``terms`` is a mapping or an iterable of (index, coefficient) pairs;
@@ -66,8 +68,15 @@ class AlgebraElement:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("AlgebraElement is immutable")
+    @property
+    def _space(self):
+        return self.group.key
+
+    def _like(self, terms) -> "AlgebraElement":
+        return AlgebraElement(self.group, terms)
+
+    def _mismatch(self, other):
+        raise PreconditionError("elements of different group algebras")
 
     @staticmethod
     def basis(group: Group, i: int, coeff=1) -> "AlgebraElement":
@@ -89,51 +98,18 @@ class AlgebraElement:
             return AlgebraElement.basis(x.group, x.index)
         raise PreconditionError("cannot view %r as an algebra element" % (x,))
 
-    def _require_same(self, other):
-        if not same_group(self.group, other.group):
-            raise PreconditionError("elements of different group algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._require_same(other)
-        return AlgebraElement(self.group, [*self.terms.items(),
-                                           *other.terms.items()])
-
-    def __neg__(self):
-        return AlgebraElement(self.group, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._require_same(other)
+            self._same_space(other)
             table = self.group.table
             return AlgebraElement(self.group, [
                 (table[i][j], a * b)
                 for i, a in self.terms.items()
                 for j, b in other.terms.items()])
-        s = as_scalar(other)
-        return AlgebraElement(self.group,
-                              {i: c * s for i, c in self.terms.items()})
+        return self._scaled(as_scalar(other))
 
     def __rmul__(self, other):
         return self * other
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return same_group(self.group, other.group) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.group.key, tuple(sorted(self.terms.items(),
-                                                  key=lambda kv: kv[0]))))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- Hopf structure maps -------------------------------------------------
 
@@ -175,7 +151,7 @@ def _zero_like(values):
     return _F0
 
 
-class TensorElement:
+class TensorElement(Terms):
     """A sparse element of H^(x)k: map from k-tuples of indices to scalars.
 
     ``terms`` is a mapping or an iterable of (index tuple, coefficient)
@@ -197,62 +173,34 @@ class TensorElement:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("TensorElement is immutable")
+    @property
+    def _space(self):
+        return self.group.key, self.arity
+
+    def _like(self, terms) -> "TensorElement":
+        return TensorElement(self.group, self.arity, terms)
+
+    def _mismatch(self, other):
+        if not same_group(self.group, other.group):
+            raise PreconditionError("tensors over different group algebras")
+        raise DimensionError("tensor arity mismatch")
 
     @staticmethod
     def unit(group: Group, arity: int) -> "TensorElement":
         return TensorElement(group, arity, {(0,) * arity: 1})
 
-    def _require_compatible(self, other):
-        if not same_group(self.group, other.group):
-            raise PreconditionError("tensors over different group algebras")
-        if self.arity != other.arity:
-            raise DimensionError("tensor arity mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._require_compatible(other)
-        return TensorElement(self.group, self.arity, [*self.terms.items(),
-                                                      *other.terms.items()])
-
-    def __neg__(self):
-        return TensorElement(self.group, self.arity,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, TensorElement):
-            self._require_compatible(other)
+            self._same_space(other)
             table = self.group.table
             return TensorElement(self.group, self.arity, [
                 (tuple(table[i][j] for i, j in zip(k1, k2)), a * b)
                 for k1, a in self.terms.items()
                 for k2, b in other.terms.items()])
-        s = as_scalar(other)
-        return TensorElement(self.group, self.arity,
-                             {k: c * s for k, c in self.terms.items()})
+        return self._scaled(as_scalar(other))
 
     def __rmul__(self, other):
         return self * other
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (same_group(self.group, other.group)
-                and self.arity == other.arity and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.group.key, self.arity,
-                     tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def to_vector(self):
         """Dense coordinates over all index tuples in lexicographic order."""
@@ -391,7 +339,7 @@ def contract(x: TensorElement, xi: "Functional", slot: int):
 # the dual H*
 # ---------------------------------------------------------------------------
 
-class Functional:
+class Functional(Frozen):
     """An element of H* stored densely on the dual basis {delta_g}."""
 
     __slots__ = ("group", "values")
@@ -402,9 +350,6 @@ class Functional:
             raise DimensionError("functional needs one value per element")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", tuple(values))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Functional is immutable")
 
     @staticmethod
     def delta(group: Group, i: int) -> "Functional":
@@ -572,10 +517,14 @@ def orbit_sum(x: TensorElement) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 def center_subspace(g: Group) -> Subspace:
-    """{x : a x = x a for every group element a}, by left/right tables."""
+    """{x : a x = x a for every generator a}, by left/right tables.
+
+    An x that commutes with the generators commutes with every product of
+    them, so this is the centre of kG.
+    """
     n = g.order
     rows = []
-    for a in range(n):
+    for a in g.gens:
         for target in range(n):
             row = [_F0] * n
             for i in range(n):
@@ -589,10 +538,14 @@ def center_subspace(g: Group) -> Subspace:
 
 
 def conjugation_invariant_subspace(g: Group) -> Subspace:
-    """{x : a x a^{-1} = x for every a}, assembled from the inverse table."""
+    """{x : a x a^{-1} = x for every generator a}, from the inverse table.
+
+    Invariance under the generators gives invariance under every product
+    of them, so this is the invariance under all of G.
+    """
     n = g.order
     rows = []
-    for a in range(n):
+    for a in g.gens:
         for i in range(n):
             j = g.conjugate(a, i)
             if j == i:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from .errors import DimensionError, InternalError, PreconditionError
 from .exact.linalg import Infeasible, Subspace, solve_linear
+from .exact.scalars import Frozen
 from .groups import Group, same_group
 from .hopf import Functional, convolve
 from .reps import Rep, irreps, pairing
@@ -48,7 +49,7 @@ def z(v: Rep) -> Functional:
     return v.character()
 
 
-class PWComponent:
+class PWComponent(Frozen):
     """A coefficient subspace together with its character."""
 
     __slots__ = ("label", "subspace", "z")
@@ -59,9 +60,6 @@ class PWComponent:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "subspace", subspace)
         object.__setattr__(self, "z", z_fun)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PWComponent is immutable")
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,14 @@ from math import lcm
 
 from .errors import InternalError, PreconditionError, RealizabilityError
 from .exact.linalg import Matrix
-from .exact.scalars import Cyclotomic, VariantError, collect, promote_like
+from .exact.scalars import (
+    Cyclotomic,
+    Frozen,
+    Terms,
+    VariantError,
+    collect,
+    promote_like,
+)
 from .groups import Group, from_descriptor, same_group
 from .hopf import Functional
 
@@ -32,7 +39,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class Rep:
+class Rep(Frozen):
     """A left kG-module: one exact matrix per group element."""
 
     __slots__ = ("group", "dim", "matrices", "label")
@@ -52,9 +59,6 @@ class Rep:
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "label", label)
         self._check_law()
-
-    def __setattr__(self, *a):
-        raise AttributeError("Rep is immutable")
 
     def _check_law(self):
         grp, mats = self.group, self.matrices
@@ -367,40 +371,34 @@ def character_table(group: Group):
 # decomposition and Grothendieck classes
 # ---------------------------------------------------------------------------
 
-class K0Element:
+class K0Element(Terms):
     """A multiplicity vector over the irreducible labels of one group.
 
     ``multiplicities`` is a mapping or an iterable of (label, multiplicity)
     pairs; the multiplicities of a repeated label are summed.
     """
 
-    __slots__ = ("group", "multiplicities")
+    __slots__ = ("group", "terms")
 
     def __init__(self, group: Group, multiplicities):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "multiplicities", {
+        object.__setattr__(self, "terms", {
             label: int(m) for label, m in collect(multiplicities).items()})
 
-    def __setattr__(self, *a):
-        raise AttributeError("K0Element is immutable")
+    @property
+    def multiplicities(self) -> dict:
+        """The nonzero multiplicities by label (the terms of the sum)."""
+        return self.terms
 
-    def __add__(self, other):
-        if not isinstance(other, K0Element):
-            return NotImplemented
-        if not same_group(self.group, other.group):
-            raise PreconditionError("classes over different groups")
-        return K0Element(self.group, [*self.multiplicities.items(),
-                                      *other.multiplicities.items()])
+    @property
+    def _space(self):
+        return self.group.key
 
-    def __eq__(self, other):
-        if not isinstance(other, K0Element):
-            return NotImplemented
-        return (same_group(self.group, other.group)
-                and self.multiplicities == other.multiplicities)
+    def _like(self, terms) -> "K0Element":
+        return K0Element(self.group, terms)
 
-    def __hash__(self):
-        return hash((self.group.key,
-                     tuple(sorted(self.multiplicities.items()))))
+    def _mismatch(self, other):
+        raise PreconditionError("classes over different groups")
 
     def __getitem__(self, label: str) -> int:
         return self.multiplicities.get(label, 0)

@@ -36,6 +36,7 @@ from .errors import (
     VariantError,
 )
 from .exact.polysys import Poly, PolySystem, buchberger
+from .exact.scalars import Frozen
 from .groups import Group, diagonal_conjugation_orbits, same_group
 from .hopf import AlgebraElement, TensorElement, convolve
 from .reps import character_table
@@ -55,7 +56,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class ABasis:
+class ABasis(Frozen):
     """Orbit-sum basis of the commutant of all g (x) g."""
 
     __slots__ = ("group", "orbits", "elements", "names")
@@ -65,9 +66,6 @@ class ABasis:
         object.__setattr__(self, "orbits", tuple(orbits))
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "names", tuple(names))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ABasis is immutable")
 
     def __len__(self):
         return len(self.elements)
@@ -228,7 +226,7 @@ def _violates_fast(point, pair_tables) -> bool:
 # search strategies
 # ---------------------------------------------------------------------------
 
-class SearchOutcome:
+class SearchOutcome(Frozen):
     """Verdict plus everything needed to reproduce and audit the run."""
 
     __slots__ = ("verdict", "candidates", "samples", "survivors", "log",
@@ -245,9 +243,6 @@ class SearchOutcome:
         object.__setattr__(self, "survivors", survivors)
         object.__setattr__(self, "log", tuple(log))
         object.__setattr__(self, "certificate", certificate)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SearchOutcome is immutable")
 
     def to_json(self) -> dict:
         from .hopf import tensor_to_json

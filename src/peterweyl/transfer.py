@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact.linalg import Infeasible, Matrix, Subspace, solve_linear
-from .exact.scalars import as_scalar, scalar_to_str
+from .exact.scalars import Frozen, as_scalar, scalar_to_str
 from .groups import Group, same_group
 from .hopf import (
     AlgebraElement,
@@ -60,7 +60,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class PCandidate:
+class PCandidate(Frozen):
     """A two-slot tensor together with a note saying how it was built."""
 
     __slots__ = ("tensor", "note")
@@ -70,9 +70,6 @@ class PCandidate:
             raise PreconditionError("candidates live in two tensor slots")
         object.__setattr__(self, "tensor", tens)
         object.__setattr__(self, "note", note)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PCandidate is immutable")
 
     @property
     def group(self) -> Group:
@@ -453,7 +450,7 @@ def s3_family(lam, mu) -> PCandidate:
 # reports
 # ---------------------------------------------------------------------------
 
-class MembershipReport:
+class MembershipReport(Frozen):
     """All predicate outcomes for one candidate."""
 
     __slots__ = ("product_condition", "translation_condition",
@@ -474,9 +471,6 @@ class MembershipReport:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "center_image", center_image)
         object.__setattr__(self, "witnesses", tuple(witnesses))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MembershipReport is immutable")
 
     def to_json(self) -> dict:
         return {

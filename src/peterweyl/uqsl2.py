@@ -36,7 +36,14 @@ from .errors import (
     VariantError,
 )
 from .exact.linalg import Matrix, Subspace, nullspace
-from .exact.scalars import RatFun, collect, promote_like, scalar_to_str
+from .exact.scalars import (
+    Frozen,
+    RatFun,
+    Terms,
+    collect,
+    promote_like,
+    scalar_to_str,
+)
 
 _V = RatFun.gen()
 _R1 = RatFun.of(1)
@@ -116,7 +123,7 @@ def _rmul_f(terms: dict) -> dict:
     return collect(pairs)
 
 
-class UqElement:
+class UqElement(Terms):
     """An element in PBW normal form: (a, b, c) -> coefficient of F^a K^b E^c.
 
     ``terms`` is a mapping or an iterable of ((a, b, c), coefficient)
@@ -124,6 +131,7 @@ class UqElement:
     """
 
     __slots__ = ("terms",)
+    _space = None  # one space: any two elements add and compare
 
     def __init__(self, terms=()):
         clean: dict = {}
@@ -134,8 +142,8 @@ class UqElement:
             clean[key] = _coeff(v)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("UqElement is immutable")
+    def _like(self, terms) -> "UqElement":
+        return UqElement(terms)
 
     @staticmethod
     def zero() -> "UqElement":
@@ -161,27 +169,6 @@ class UqElement:
     def k(power: int = 1) -> "UqElement":
         return UqElement({(0, power, 0): 1})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, UqElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        return UqElement([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other):
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return UqElement({key: -v for key, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, UqElement):
             total = []
@@ -197,17 +184,11 @@ class UqElement:
                 total.extend((key, v * d) for key, v in cur.items())
             return UqElement(total)
         try:
-            s = _coeff(other)
+            return self._scaled(_coeff(other))
         except VariantError:
             return NotImplemented
-        return UqElement({key: v * s for key, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        try:
-            s = _coeff(other)
-        except VariantError:
-            return NotImplemented
-        return UqElement({key: s * v for key, v in self.terms.items()})
+    __rmul__ = __mul__
 
     def counit(self) -> RatFun:
         """Coefficient sum over the K-power monomials (E, F both vanish)."""
@@ -270,7 +251,7 @@ class UqElement:
         return " + ".join(bits)
 
 
-class UqTensor:
+class UqTensor(Terms):
     """A sum of pure tensors of PBW monomials in two slots.
 
     ``terms`` is a mapping or an iterable of ((m1, m2), coefficient) pairs;
@@ -278,27 +259,18 @@ class UqTensor:
     """
 
     __slots__ = ("terms",)
+    _space = None  # one space: any two elements add and compare
 
     def __init__(self, terms=()):
         object.__setattr__(self, "terms", {
             key: _coeff(v) for key, v in collect(terms).items()})
 
-    def __setattr__(self, *a):
-        raise AttributeError("UqTensor is immutable")
+    def _like(self, terms) -> "UqTensor":
+        return UqTensor(terms)
 
     @staticmethod
     def unit() -> "UqTensor":
         return UqTensor({((0, 0, 0), (0, 0, 0)): 1})
-
-    def __eq__(self, other):
-        if isinstance(other, UqTensor):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, UqTensor):
-            return NotImplemented
-        return UqTensor([*self.terms.items(), *other.terms.items()])
 
     def __mul__(self, other):
         if isinstance(other, UqTensor):
@@ -312,10 +284,9 @@ class UqTensor:
                                for k2, c2 in right.terms.items())
             return UqTensor(out)
         try:
-            s = _coeff(other)
+            return self._scaled(_coeff(other))
         except VariantError:
             return NotImplemented
-        return UqTensor({key: v * s for key, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -341,7 +312,7 @@ def adjoint(x: UqElement, y: UqElement) -> UqElement:
 # generator matrices are act(E), act(F) and act(K).
 
 
-class UqModule:
+class UqModule(Frozen):
     """The n+1 dimensional simple module with weights n, n-2, ..., -n.
 
     Basis vectors are indexed 0..n from the highest weight down, with
@@ -357,9 +328,6 @@ class UqModule:
         object.__setattr__(self, "mat_e", self.act(UqElement.e()))
         object.__setattr__(self, "mat_f", self.act(UqElement.f()))
         object.__setattr__(self, "mat_k", self.act(UqElement.k()))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UqModule is immutable")
 
     def act(self, x: UqElement) -> Matrix:
         """Matrix of x, one closed-form entry per monomial and basis vector.
@@ -434,7 +402,7 @@ def r0_pairing(mu_minus: int, mu_plus: int) -> RatFun:
     return _V ** (mu_minus * mu_plus)
 
 
-class ThetaExpansion:
+class ThetaExpansion(Frozen):
     """Truncated expansion sum_k c_k E^k (x) F^k with a selected convention."""
 
     __slots__ = ("order", "sign", "twist", "coeffs")
@@ -451,9 +419,6 @@ class ThetaExpansion:
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ThetaExpansion is immutable")
 
     def __repr__(self):
         return "ThetaExpansion(order=%d, sign=%d, twist=%d)" % (

@@ -222,7 +222,7 @@ def test_buchberger_caps_yield_unknown():
     gens = [x ** 2 * y - 1, x * y ** 2 - 1]
     res = buchberger(gens, step_cap=0)
     assert res.status == "unknown"
-    assert res.basis  # a partial, interreduced basis is still returned
+    assert res.basis  # the partial basis, not interreduced, is returned
     res = buchberger(gens, degree_cap=0)
     assert res.status == "unknown"
 
@@ -334,12 +334,22 @@ def _small_systems(draw):
     return polys, degree_cap, step_cap
 
 
+def _assert_matches_oracle(res, oracle):
+    """The oracle interreduces a capped basis; buchberger returns it as is."""
+    status, basis, steps = oracle
+    assert (res.status, res.steps) == (status, steps)
+    if status == "unknown":
+        assert tuple(_interreduce(res.basis)) == basis
+    else:
+        assert res.basis == basis
+
+
 @given(_small_systems())
 def test_buchberger_matches_the_pair_scan_oracle(system):
     polys, degree_cap, step_cap = system
     res = buchberger(polys, degree_cap=degree_cap, step_cap=step_cap)
-    assert (res.status, res.basis, res.steps) == _oracle_buchberger(
-        polys, degree_cap=degree_cap, step_cap=step_cap)
+    _assert_matches_oracle(res, _oracle_buchberger(
+        polys, degree_cap=degree_cap, step_cap=step_cap))
 
 
 def test_buchberger_matches_the_oracle_on_the_s3_system():
@@ -348,8 +358,8 @@ def test_buchberger_matches_the_oracle_on_the_s3_system():
     polys = assemble_constraints(symmetric(3)).polys
     res = buchberger(polys, degree_cap=2, step_cap=20)
     assert (res.status, res.steps) == ("unknown", 21)
-    assert (res.status, res.basis, res.steps) == _oracle_buchberger(
-        polys, degree_cap=2, step_cap=20)
+    _assert_matches_oracle(res, _oracle_buchberger(
+        polys, degree_cap=2, step_cap=20))
 
 
 # ---------------------------------------------------------------------------

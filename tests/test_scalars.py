@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peterweyl.errors import ParseError, VariantError
+from peterweyl.errors import (
+    DimensionError,
+    ParseError,
+    PreconditionError,
+    VariantError,
+)
+from peterweyl.exact.polysys import Poly
 from peterweyl.exact.scalars import (
     Cyclotomic,
     RatFun,
@@ -27,6 +33,10 @@ from peterweyl.exact.scalars import (
     unify,
     variant_name,
 )
+from peterweyl.groups import cyclic, symmetric
+from peterweyl.hopf import AlgebraElement, TensorElement
+from peterweyl.reps import K0Element
+from peterweyl.uqsl2 import UqElement, UqTensor
 
 from _gen import rand_cyclo, rand_frac, rand_ratfun, rand_scalar
 
@@ -598,3 +608,67 @@ def test_cyclotomic_string_round_trip(x):
     assert back == x and hash(back) == hash(x)
     assert back.n == x.n and back.coeffs == x.coeffs
     assert scalar_to_str(back) == text
+
+
+# ---------------------------------------------------------------------------
+# the sparse types: one set of sums, negation, equality and hashing
+# ---------------------------------------------------------------------------
+
+_S3 = symmetric(3)
+_FRACS = st.fractions(-3, 3, max_denominator=4)
+_RATFUNS = st.tuples(_FRACS, _FRACS).map(RatFun)  # a + b v
+_PBW = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2))
+
+# name: (constructor from terms, key strategy, coefficient strategy,
+#        elements of other spaces with the error a sum with them raises)
+_SPARSE = {
+    "AlgebraElement": (
+        lambda terms: AlgebraElement(_S3, terms), st.integers(0, 5), _FRACS,
+        [(AlgebraElement.one(cyclic(6)), PreconditionError)]),
+    "TensorElement": (
+        lambda terms: TensorElement(_S3, 2, terms),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), _FRACS,
+        [(TensorElement.unit(cyclic(6), 2), PreconditionError),
+         (TensorElement.unit(_S3, 3), DimensionError)]),
+    "Poly": (
+        lambda terms: Poly(2, terms),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), _FRACS,
+        [(Poly.variable(0, 3), DimensionError)]),
+    "UqElement": (UqElement, _PBW, _RATFUNS, []),
+    "UqTensor": (UqTensor, st.tuples(_PBW, _PBW), _RATFUNS, []),
+    "K0Element": (
+        lambda terms: K0Element(_S3, terms),
+        st.sampled_from(("triv", "sgn", "std")), st.integers(-3, 3),
+        [(K0Element(cyclic(6), {"triv": 1}), PreconditionError)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPARSE))
+@given(data=st.data())
+def test_sparse_types_share_sums_equality_and_hashing(name, data):
+    build, keys, coeffs, other_spaces = _SPARSE[name]
+    terms = st.lists(st.tuples(keys, coeffs), max_size=4)
+    x_terms = data.draw(terms)
+    x, y = build(x_terms), build(data.draw(terms))
+    again = build(x_terms[::-1])
+    assert x == again and hash(x) == hash(again)
+    assert hash(x + y) == hash(y + x)
+    assert not (x - x)
+    assert -(-x) == x
+    assert x + y == y + x
+    assert (x + y) - y == x
+    for other, error in other_spaces:
+        assert x != other
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(error):
+                op(x, other)
+    names = sorted(_SPARSE)
+    foreign = [_SPARSE[names[(names.index(name) + 1) % len(names)]][0](())]
+    if name != "Poly":
+        foreign.append(1)  # only a polynomial lifts a scalar
+    for f in foreign:
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(x, f)
+            with pytest.raises(TypeError):
+                op(f, x)

@@ -1,4 +1,5 @@
-"""Every public top-level name in `src/peterweyl` is reached by a caller.
+"""Every public top-level name in `src/peterweyl` is reached by a caller,
+and every immutable class takes its immutability from `Frozen`.
 
 The walk starts from the names that `demos/`, `bench/`, the acceptance
 tests and the module-level code of `src/` use, and follows the body of
@@ -76,3 +77,46 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unreached = public - reached - EXEMPT
     assert not unreached, "reached only from the tests: " + ", ".join(
         sorted(unreached))
+
+
+def _classes():
+    """Every class in `src/peterweyl`, by name."""
+    classes = {}
+    for path in _python_files(PACKAGE):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    return classes
+
+
+def _method(cls, name):
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    return None
+
+
+def _sets_slots_in_init(cls):
+    init = _method(cls, "__init__")
+    return init is not None and any(
+        isinstance(sub, ast.Attribute) and sub.attr == "__setattr__"
+        and isinstance(sub.value, ast.Name) and sub.value.id == "object"
+        for sub in ast.walk(init))
+
+
+def test_immutable_classes_derive_from_frozen():
+    classes = _classes()
+
+    def frozen(name):
+        if name == "Frozen":
+            return True
+        node = classes.get(name)
+        return node is not None and any(
+            isinstance(b, ast.Name) and frozen(b.id) for b in node.bases)
+
+    own_setattr = sorted(name for name, node in classes.items()
+                         if name != "Frozen" and _method(node, "__setattr__"))
+    assert not own_setattr, "define __setattr__: " + ", ".join(own_setattr)
+    unfrozen = sorted(name for name, node in classes.items()
+                      if _sets_slots_in_init(node) and not frozen(name))
+    assert not unfrozen, "immutable but not Frozen: " + ", ".join(unfrozen)
