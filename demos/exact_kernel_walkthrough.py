@@ -10,7 +10,7 @@ layer once.
 
 from fractions import Fraction
 
-from peterweyl.exact.linalg import Infeasible, Matrix, solve_linear
+from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
 from peterweyl.exact.scalars import Cyclotomic, RatFun
 from peterweyl.groups import symmetric
 from peterweyl.hopf import (
@@ -48,8 +48,9 @@ def main() -> None:
     A = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     print("rank of a 3x3 with a repeated row:", A.rank())
     sol = solve_linear(A, [third, 2 * third, 0])
+    assert not isinstance(sol, Infeasible)
     print("consistent system: particular solution found,",
-          "nullspace dimension", len(sol.nullspace))
+          "nullspace dimension", len(nullspace(A.rows, 3)))
     res = solve_linear(A, [1, 0, 0])
     print("inconsistent system:", type(res).__name__,
           "with certificate [%s]" % ", ".join(str(c) for c in res.certificate))

@@ -26,11 +26,10 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import __version__
 from .errors import ParseError, PeterWeylError, PreconditionError
-from .exact.scalars import Cyclotomic, RatFun, scalar_from_str, scalar_to_str
+from .exact.scalars import scalar_from_str
 from .groups import parse_group, same_group
 from .hopf import tensor_from_json, tensor_to_json
 from .search import search as run_search
@@ -85,20 +84,8 @@ def _positive_int(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(x):
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, (Fraction, Cyclotomic, RatFun)):
-        return scalar_to_str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    raise _InputError("cannot serialize %r into a canonical artifact" % (x,))
-
-
 def _render_json(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -2,14 +2,15 @@
 
 Everything is computed exactly; there is no numeric tolerance anywhere.
 
-``solve_linear`` has two routes to the same canonical answer:
+``solve_linear`` has two routes to the same canonical answer, and each
+yields either the particular solution or an infeasibility certificate:
 
 * a reference route: fraction/field Gauss-Jordan elimination with the
   first-nonzero pivot rule;
 * a fast route for large rational systems: elimination modulo a fixed,
   deterministic list of 31-bit primes, Chinese remaindering, rational
   reconstruction, and then a mandatory exact verification of the candidate
-  (solution, nullspace vector, or infeasibility certificate) over Q.
+  (solution or infeasibility certificate) over Q.
 
 The fast route tries a candidate after the first prime, and after each
 failed try it doubles the number of agreeing primes before the next one
@@ -17,6 +18,8 @@ failed try it doubles the number of agreeing primes before the next one
 one prime.  It can never return a wrong answer: every candidate is checked
 with exact rational arithmetic before being accepted, and if no candidate
 passes, the reference route runs instead.
+
+``nullspace`` reads a kernel basis off one RREF of the rows.
 """
 
 from __future__ import annotations
@@ -131,9 +134,6 @@ class Matrix(Frozen):
             out.append(acc)
         return tuple(unify(out)) if out else tuple()
 
-    def transpose(self):
-        return Matrix([list(c) for c in zip(*self.rows)]) if self.rows else Matrix([])
-
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionError("trace of non-square matrix")
@@ -199,16 +199,15 @@ def rref(rows):
 
 
 class LinearSolution(Frozen):
-    """A particular solution plus a basis of the homogeneous nullspace."""
+    """The canonical particular solution of a feasible system."""
 
-    __slots__ = ("particular", "nullspace")
+    __slots__ = ("particular",)
 
-    def __init__(self, particular, nullspace):
+    def __init__(self, particular):
         object.__setattr__(self, "particular", tuple(particular))
-        object.__setattr__(self, "nullspace", tuple(tuple(v) for v in nullspace))
 
     def __repr__(self):
-        return "LinearSolution(nullity=%d)" % len(self.nullspace)
+        return "LinearSolution(n=%d)" % len(self.particular)
 
 
 class Infeasible(Frozen):
@@ -245,13 +244,11 @@ def _verify_certificate(rows, b, y):
     return not any(acc) and _dot(y, b) != 0
 
 
-def solve_linear(A, b, want_nullspace: bool = True):
+def solve_linear(A, b):
     """Solve A x = b exactly; returns LinearSolution or Infeasible.
 
-    The particular solution is canonical (free variables zero, RREF with the
-    first-nonzero pivot rule), as is the nullspace basis (one vector per free
-    column, ascending).  Set want_nullspace=False to skip the nullspace basis
-    on large systems.
+    The particular solution is canonical: RREF with the first-nonzero pivot
+    rule, free variables zero.
     """
     rows = list(A.rows) if isinstance(A, Matrix) else [list(r) for r in A]
     b = list(b)
@@ -260,7 +257,7 @@ def solve_linear(A, b, want_nullspace: bool = True):
     if len(b) != m:
         raise DimensionError("right-hand side length mismatch")
     if m == 0:
-        return LinearSolution([], [])
+        return LinearSolution([])
     flat = unify([x for r in rows for x in r] + list(b))
     if n:
         it = iter(flat)
@@ -268,28 +265,41 @@ def solve_linear(A, b, want_nullspace: bool = True):
     b = flat[m * n:]
     rational = all(isinstance(x, Fraction) for x in flat)
     if rational and m * (n + 1) >= _MODULAR_THRESHOLD:
-        res = _solve_modular(rows, b, want_nullspace)
+        res = _solve_modular(rows, b)
         if res is not None:
             return res
-    return _solve_exact(rows, b, want_nullspace)
+    return _solve_exact(rows, b)
 
 
 def nullspace(rows, ncols: int):
     """Canonical basis of {x : A x = 0} for the rows of A over ncols unknowns.
 
-    With no rows every vector is a solution, so the basis is the standard
-    one; otherwise it is the nullspace basis of ``solve_linear``.
+    One vector per free column of the RREF of A, ascending: 1 at that
+    column, minus the RREF column at the pivots, 0 at the other free
+    columns.  With no rows every column is free.
     """
     rows = list(rows)
     if any(len(r) != ncols for r in rows):
         raise DimensionError("row length != column count")
-    if not rows:
-        return tuple(tuple(_F1 if j == i else _F0 for j in range(ncols))
-                     for i in range(ncols))
-    return solve_linear(rows, [_F0] * len(rows)).nullspace
+    flat = unify([x for r in rows for x in r] + [_F0])
+    zero = flat[-1]
+    it = iter(flat)
+    reduced, pivots = rref([[next(it) for _ in range(ncols)] for _ in rows])
+    one = zero + 1
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for i, c in enumerate(pivots):
+            v[c] = -reduced[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
-def _solve_exact(rows, b, want_nullspace):
+def _solve_exact(rows, b):
     m = len(rows)
     n = len(rows[0])
     aug, pivots = rref([list(r) + [bi] for r, bi in zip(rows, b)])
@@ -309,23 +319,10 @@ def _solve_exact(rows, b, want_nullspace):
         if not _verify_certificate(rows, b, y):
             raise InternalError("bad infeasibility certificate")
         return Infeasible(y)
-    zero = b[0] * 0
-    x = [zero] * n
+    x = [b[0] * 0] * n
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
-    null = []
-    if want_nullspace:
-        pivset = set(pivots)
-        one = zero + 1
-        for f in range(n):
-            if f in pivset:
-                continue
-            v = [zero] * n
-            v[f] = one
-            for i, c in enumerate(pivots):
-                v[c] = -aug[i][f]
-            null.append(v)
-    return LinearSolution(x, null)
+    return LinearSolution(x)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,7 @@ def _modp_rref(M: np.ndarray, p: int):
     return pivots
 
 
-def _solve_modular(rows, b, want_nullspace):
+def _solve_modular(rows, b):
     """Deterministic modular solve with exact verification; None on failure."""
     m = len(rows)
     n = len(rows[0])
@@ -466,8 +463,7 @@ def _solve_modular(rows, b, want_nullspace):
         used.append((p, track))
         if len(used) < tries_at:
             continue
-        result = _assemble_modular(rows, b, int_rows, scales, used, structure,
-                                   n, m, want_nullspace)
+        result = _assemble_modular(rows, b, scales, used, structure, n, m)
         if result is not None:
             return result
         tries_at *= 2
@@ -482,8 +478,7 @@ def _combine(used, entry_getter):
     return _rat_reconstruct(r_acc, m_acc)
 
 
-def _assemble_modular(rows, b, int_rows, scales, used, structure, n, m,
-                      want_nullspace):
+def _assemble_modular(rows, b, scales, used, structure, n, m):
     if structure and structure[-1] == n:
         # infeasibility candidate: certificate from the tracking block
         row_idx = len(structure) - 1
@@ -499,9 +494,8 @@ def _assemble_modular(rows, b, int_rows, scales, used, structure, n, m,
         if d != 1:
             y = [yi / d for yi in y]
         return Infeasible(y)
-    pivots = list(structure)
     x = [_F0] * n
-    for i, c in enumerate(pivots):
+    for i, c in enumerate(structure):
         val = _combine(used, lambda t, i=i: t[i, n])
         if val is None:
             return None
@@ -509,24 +503,7 @@ def _assemble_modular(rows, b, int_rows, scales, used, structure, n, m,
     for row, bi in zip(rows, b):
         if _dot(row, x) != bi:
             return None
-    null = []
-    if want_nullspace:
-        pivset = set(pivots)
-        for f in range(n):
-            if f in pivset:
-                continue
-            v = [_F0] * n
-            v[f] = _F1
-            for i, c in enumerate(pivots):
-                val = _combine(used, lambda t, i=i, f=f: t[i, f])
-                if val is None:
-                    return None
-                v[c] = -val
-            for row in rows:
-                if _dot(row, v) != 0:
-                    return None
-            null.append(v)
-    return LinearSolution(x, null)
+    return LinearSolution(x)
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,6 @@ class Group(Frozen):
     def element(self, i: int) -> GroupElement:
         return GroupElement(self, i)
 
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != 0:
-            cur = self.table[cur][i]
-            k += 1
-        return k
-
     def centralizer_size(self, i: int) -> int:
         return sum(1 for h in range(self.order)
                    if self.table[h][i] == self.table[i][h])

@@ -121,7 +121,7 @@ def direct_sum_decomposition(group: Group) -> bool:
 def _coords_on(chars, target: Functional):
     """Solve for target as a combination of the given functionals."""
     rows = [[c.values[g] for c in chars] for g in range(len(target.values))]
-    res = solve_linear(rows, list(target.values), want_nullspace=False)
+    res = solve_linear(rows, list(target.values))
     if isinstance(res, Infeasible):
         raise InternalError("character product left the span of characters")
     return list(res.particular)

@@ -102,16 +102,6 @@ class Rep(Frozen):
         mats = [a.kron(b) for a, b in zip(self.matrices, other.matrices)]
         return Rep(self.group, mats, "%s(x)%s" % (self.label, other.label))
 
-    def direct_sum(self, other: "Rep") -> "Rep":
-        if not same_group(self.group, other.group):
-            raise PreconditionError("representations of different groups")
-        mats = []
-        for a, b in zip(self.matrices, other.matrices):
-            top = [list(r) + [_F0] * other.dim for r in a.rows]
-            bot = [[_F0] * self.dim + list(r) for r in b.rows]
-            mats.append(Matrix(top + bot))
-        return Rep(self.group, mats, "%s(+)%s" % (self.label, other.label))
-
     def apply(self, i: int, vec):
         return self.matrices[i].apply(vec)
 
@@ -375,15 +365,22 @@ class K0Element(Terms):
     """A multiplicity vector over the irreducible labels of one group.
 
     ``multiplicities`` is a mapping or an iterable of (label, multiplicity)
-    pairs; the multiplicities of a repeated label are summed.
+    pairs; the multiplicities of a repeated label are summed.  Each sum
+    must be an integer (an integral Fraction becomes an int, and negative
+    integers are allowed); anything else raises PreconditionError.
     """
 
     __slots__ = ("group", "terms")
 
     def __init__(self, group: Group, multiplicities):
+        terms = {}
+        for label, m in collect(multiplicities).items():
+            terms[label] = int(m)
+            if terms[label] != m:
+                raise PreconditionError(
+                    "multiplicity of %s is not an integer: %s" % (label, m))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", {
-            label: int(m) for label, m in collect(multiplicities).items()})
+        object.__setattr__(self, "terms", terms)
 
     @property
     def multiplicities(self) -> dict:

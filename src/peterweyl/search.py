@@ -52,7 +52,6 @@ from .transfer import (
     unit_p,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -69,22 +68,6 @@ class ABasis(Frozen):
 
     def __len__(self):
         return len(self.elements)
-
-    def coords_of(self, t: TensorElement):
-        """Coordinates of an invariant tensor; constant on every orbit."""
-        if not same_group(t.group, self.group) or t.arity != 2:
-            raise PreconditionError(
-                "coordinates need a two-slot tensor over the same group")
-        coords = []
-        for orbit in self.orbits:
-            c = t.terms.get(orbit[0], _F0)
-            for pair in orbit:
-                if t.terms.get(pair, _F0) != c:
-                    raise PreconditionError(
-                        "tensor is not constant on the conjugation orbit "
-                        "of %s" % (orbit[0],))
-            coords.append(c)
-        return tuple(coords)
 
     def to_tensor(self, coords) -> TensorElement:
         if len(coords) != len(self.elements):

@@ -253,7 +253,13 @@ def in_m(p):
 
 
 def in_m0(p) -> bool:
-    """Is the transfer map an algebra homomorphism on characters into Z?"""
+    """Is the transfer map an algebra homomorphism on characters into Z?
+
+    It asks that phi(z_V z_W) = phi(z_V) phi(z_W) for the irreducible
+    characters and that every phi(z_V) is central.  M0 does not require
+    phi(eps) = 1, so a non-unital map such as the one of the zero tensor
+    passes.
+    """
     t = _tensor_of(p)
     zs = [chi for _, chi in character_table(t.group)]
     imgs = [phi(t, zi) for zi in zs]
@@ -297,7 +303,7 @@ def solve_t(p):
     b = [_F0] * (n ** 3)
     for (g1, g2, g3), c in apply_delta(t, 0).terms.items():
         b[(g1 * n + g2) * n + g3] = c
-    res = solve_linear(rows, b, want_nullspace=False)
+    res = solve_linear(rows, b)
     if isinstance(res, Infeasible):
         return res
     return TensorElement(grp, 4, {key: v for key, v

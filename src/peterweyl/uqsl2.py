@@ -93,23 +93,15 @@ def _coeff(x) -> RatFun:
 # normal-form rewriting
 # ---------------------------------------------------------------------------
 #
-# An element in normal form is multiplied on the right by one generator at
-# a time.  Appending E extends the monomial directly.  Appending K walks
-# past E^c at the cost of q^-2c per K (and q^+2c per K^-1).  Appending F
-# walks past E^c with the commutator identity
+# An element in normal form is multiplied on the right by a monomial
+# F^a K^b E^c.  F is appended one factor at a time: it walks past E^c with
+# the commutator identity
 #
 #   E^c F = F E^c + [c] (q^-(c-1) K - q^(c-1) K^-1) E^(c-1) / (q - q^-1)
 #
-# and then past K^b, so one F step produces at most three monomials.
-
-
-def _rmul_e(terms: dict) -> dict:
-    return {(a, b, c + 1): v for (a, b, c), v in terms.items()}
-
-
-def _rmul_k(terms: dict, step: int) -> dict:
-    return {(a, b + step, c): v * qpow(-2 * step * c)
-            for (a, b, c), v in terms.items()}
+# and then past K^b, so one F step produces at most three monomials.  K^b
+# then walks past each term's E^c0 in one step at the cost of q^-2b*c0, and
+# E^c extends the monomial directly.
 
 
 def _rmul_f(terms: dict) -> dict:
@@ -176,12 +168,10 @@ class UqElement(Terms):
                 cur = self.terms
                 for _ in range(a):
                     cur = _rmul_f(cur)
-                step = 1 if b > 0 else -1
-                for _ in range(abs(b)):
-                    cur = _rmul_k(cur, step)
-                for _ in range(c):
-                    cur = _rmul_e(cur)
-                total.extend((key, v * d) for key, v in cur.items())
+                total.extend(
+                    ((a0, b0 + b, c0 + c),
+                     (v * qpow(-2 * b * c0) if b and c0 else v) * d)
+                    for (a0, b0, c0), v in cur.items())
             return UqElement(total)
         try:
             return self._scaled(_coeff(other))

@@ -1,4 +1,5 @@
-"""Module maps and cocycle extensions shared by the test modules.
+"""Module maps, direct sums and cocycle extensions shared by the test
+modules.
 
 `intertwiners` solves for module maps by exact elimination, independently
 of the characters the package decides isomorphism with, so the tests use
@@ -18,6 +19,18 @@ _F0 = Fraction(0)
 
 def trivial_rep(group: Group) -> Rep:
     return Rep(group, [Matrix.identity(1)] * group.order, "triv")
+
+
+def direct_sum(v: Rep, w: Rep) -> Rep:
+    """V (+) W, with block-diagonal matrices."""
+    if not same_group(v.group, w.group):
+        raise PreconditionError("representations of different groups")
+    mats = []
+    for a, b in zip(v.matrices, w.matrices):
+        top = [list(r) + [_F0] * w.dim for r in a.rows]
+        bot = [[_F0] * v.dim + list(r) for r in b.rows]
+        mats.append(Matrix(top + bot))
+    return Rep(v.group, mats, "%s(+)%s" % (v.label, w.label))
 
 
 def intertwiners(v: Rep, w: Rep):

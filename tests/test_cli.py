@@ -89,6 +89,27 @@ def test_verify_unit_on_trivial_group(tmp_path):
                  "--out", str(tmp_path / "u.json")]) == 0
 
 
+def test_verify_zero_tensor_is_pinned(tmp_path, capsys):
+    # M0 asks only for a multiplicative, central image of the characters,
+    # not for phi(eps) = 1, so the zero tensor passes the default checks
+    # with rank 0
+    pfile = tmp_path / "zero.json"
+    pfile.write_text(json.dumps({"note": "zero", "tensor": {
+        "group": {"kind": "cyclic", "n": 2}, "arity": 2, "terms": []}}))
+    out = tmp_path / "z.json"
+    assert main(["verify", "--group", "Z2", "--p-file", str(pfile),
+                 "--out", str(out)]) == 0
+    report = _read(out)["report"]
+    assert report["A"] is True and report["M"] is True
+    assert report["M0"] is True
+    assert report["rank"] == 0
+    assert main(["verify", "--group", "Z2", "--p-file", str(pfile),
+                 "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert "A=true" in text and "M=true" in text and "M0=true" in text
+    assert "rank=0/2" in text
+
+
 def test_verify_text_format(capsys):
     code = main(["verify", "--group", "S3", "--family", "s3",
                  "--lambda", "1", "--mu", "1", "--format", "text"])

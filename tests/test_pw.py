@@ -33,7 +33,12 @@ from peterweyl.pw import (
     z_multiplicative_check,
 )
 
-from _modules import coboundary, extension_by_cocycle, zero_cocycle
+from _modules import (
+    coboundary,
+    direct_sum,
+    extension_by_cocycle,
+    zero_cocycle,
+)
 
 F = Fraction
 
@@ -78,6 +83,10 @@ def test_beta_dimension_mismatch():
         beta(v, [1], [1, 0])
 
 
+def _transpose(m: Matrix) -> Matrix:
+    return Matrix([list(c) for c in zip(*m.rows)])
+
+
 def test_beta_is_a_bimodule_homomorphism():
     g = symmetric(3)
     v = by_label(g)["std"]
@@ -90,7 +99,7 @@ def test_beta_is_a_bimodule_homomorphism():
         hh = AlgebraElement.basis(g, h)
         left = beta(v, v.matrix(h).apply(vec), fvec)
         assert left == act("left", hh, base)
-        right = beta(v, vec, v.matrix(h).transpose().apply(fvec))
+        right = beta(v, vec, _transpose(v.matrix(h)).apply(fvec))
         assert right == act("right", hh, base)
 
 
@@ -130,7 +139,7 @@ def test_component_dims_are_squares_for_simples():
 
 def test_component_ignores_multiplicity():
     v = by_label(symmetric(3))["std"]
-    assert component(v.direct_sum(v)) == component(v)
+    assert component(direct_sum(v, v)) == component(v)
 
 
 def test_component_of_extension_is_sum_of_components():
@@ -159,7 +168,7 @@ def test_component_is_the_span_of_all_matrix_coefficients():
     reps = by_label(symmetric(3))
     v, w = reps["std"], reps["sgn"]
     rho = coboundary(v, w, Matrix([[F(2)], [F(-1)]]))
-    modules += [v.tensor(v), v.tensor(w), v.direct_sum(v),
+    modules += [v.tensor(v), v.tensor(w), direct_sum(v, v),
                 extension_by_cocycle(v, w, rho)]
     d4 = by_label(dihedral(4))
     modules.append(d4["rho1"].tensor(d4["alt"]))

@@ -28,6 +28,7 @@ from peterweyl.reps import K0Element, Rep, character_table, decompose, irreps
 from _modules import (
     coboundary,
     cocycle_check,
+    direct_sum,
     end_dim,
     extension_by_cocycle,
     hom_dim,
@@ -228,14 +229,14 @@ def test_schur_orthogonality_of_homs():
             for w in reps:
                 assert hom_dim(v, w) == (1 if v.label == w.label else 0)
     triv = irreps(cyclic(1))[0]
-    assert hom_dim(triv.direct_sum(triv), triv) == 2
+    assert hom_dim(direct_sum(triv, triv), triv) == 2
 
 
 def test_end_dim_of_double_standard():
     std = by_label(symmetric(3))["std"]
     assert end_dim(std) == 1
-    assert end_dim(std.direct_sum(std)) == 4
-    assert hom_dim(std, std.direct_sum(std)) == 2
+    assert end_dim(direct_sum(std, std)) == 4
+    assert hom_dim(std, direct_sum(std, std)) == 2
 
 
 def test_all_irreps_are_split_simple():
@@ -282,6 +283,19 @@ def test_k0_element_api():
     assert x["triv"] == 1 and x["std"] == 0
     assert x + y == K0Element(g, {"triv": 1, "std": 2})
     assert repr(x + y) == "std + std + triv" or repr(x + y) == "2*std + triv"
+
+
+def test_k0_element_rejects_a_non_integral_multiplicity():
+    g = symmetric(3)
+    with pytest.raises(PreconditionError):
+        K0Element(g, {"std": Fraction(1, 2), "sgn": Fraction(5, 2)})
+    # integral Fractions become ints, negative integers stay legal, and
+    # halves that sum to an integer are accepted
+    x = K0Element(g, {"std": Fraction(4, 2), "sgn": -3})
+    assert x.terms == {"std": 2, "sgn": -3}
+    assert all(type(m) is int for m in x.terms.values())
+    assert K0Element(g, [("std", Fraction(1, 2)), ("std", Fraction(1, 2))]) \
+        == K0Element(g, {"std": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +399,7 @@ def test_zero_cocycle_gives_direct_sum():
     reps = by_label(symmetric(3))
     v, w = reps["std"], reps["sgn"]
     ext = extension_by_cocycle(v, w, zero_cocycle(v, w))
-    assert ext.matrices == v.direct_sum(w).matrices
+    assert ext.matrices == direct_sum(v, w).matrices
 
 
 def test_coboundary_is_cocycle_and_splits():
@@ -399,7 +413,7 @@ def test_coboundary_is_cocycle_and_splits():
         rho = coboundary(v, w, phi)
         assert cocycle_check(v, w, rho)
         ext = extension_by_cocycle(v, w, rho)
-        assert ext.character() == v.direct_sum(w).character()
+        assert ext.character() == direct_sum(v, w).character()
         assert decompose(ext) == decompose(v) + decompose(w)
 
 

@@ -1,17 +1,23 @@
-"""Every public top-level name in `src/peterweyl` is reached by a caller,
-and every immutable class takes its immutability from `Frozen`.
+"""Every public top-level name and public method in `src/peterweyl` is
+reached by a caller, and every immutable class takes its immutability from
+`Frozen`.
 
 The walk starts from the names that `demos/`, `bench/`, the acceptance
-tests and the module-level code of `src/` use, and follows the body of
-every top-level definition in `src/` it reaches, until nothing new is
-reached.  The rest of the test suite does not count: a helper that only
-tests reach belongs in the tests, next to the assertions that use it, and
-so does a chain of helpers that call only each other.
+tests, the module-level code of `src/` and the exempt oracles use, and
+follows the body of every definition in `src/` it reaches, until nothing
+new is reached.  A definition is a top-level function or class, or a
+method or property of a top-level class.  Reaching a class follows its
+bases, its class-level statements and its dunder methods, which Python
+calls implicitly; every other method is followed only when its own name
+is reached.  The rest of the test suite does not count: a helper that
+only tests reach belongs in the tests, next to the assertions that use
+it, and so does a chain of helpers that call only each other.
 
 A name counts as used where it appears as a `Name`, an `Attribute`, an
 import alias, or a string that is an identifier (the benchmark tracer
 lists the functions it wraps as strings).  Names are matched without
-their module, so a use of `apply` reaches every top-level `apply`.
+their module or class, so a use of `apply` reaches every top-level
+`apply` and every method called `apply`.
 """
 
 import ast
@@ -46,19 +52,46 @@ def _used_names(node):
     return used
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_part(cls):
+    """What reaching a class follows: all but its non-dunder methods."""
+    own = [node for node in cls.body
+           if not (isinstance(node, ast.FunctionDef)
+                   and not _is_dunder(node.name))]
+    return ast.Module(body=cls.bases + cls.keywords + cls.decorator_list
+                      + own, type_ignores=[])
+
+
 def _walk():
     """The public definitions, and the names a caller reaches."""
     definitions: dict = {}
+    labels = {}  # "Class.method" or top-level name -> name
     roots = set()
     for path in _python_files(PACKAGE):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
                 definitions.setdefault(node.name, []).append(node)
+                labels[node.name] = node.name
+            elif isinstance(node, ast.ClassDef):
+                definitions.setdefault(node.name, []).append(
+                    _class_part(node))
+                labels[node.name] = node.name
+                for meth in node.body:
+                    if (isinstance(meth, ast.FunctionDef)
+                            and not _is_dunder(meth.name)):
+                        definitions.setdefault(meth.name, []).append(meth)
+                        labels[node.name + "." + meth.name] = meth.name
             else:
                 roots |= _used_names(node)
     for root in CALLERS:
         for path in _python_files(root):
             roots |= _used_names(ast.parse(path.read_text()))
+    for name in EXEMPT:
+        for node in definitions.get(name, ()):
+            roots |= _used_names(node)
     reached = set()
     todo = list(roots)
     while todo:
@@ -68,15 +101,17 @@ def _walk():
         reached.add(name)
         for node in definitions.get(name, ()):
             todo.extend(_used_names(node) - reached)
-    public = {name for name in definitions if not name.startswith("_")}
+    public = {label: name for label, name in labels.items()
+              if not name.startswith("_")}
     return public, reached
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     public, reached = _walk()
-    unreached = public - reached - EXEMPT
+    unreached = sorted(label for label, name in public.items()
+                       if name not in reached and name not in EXEMPT)
     assert not unreached, "reached only from the tests: " + ", ".join(
-        sorted(unreached))
+        unreached)
 
 
 def _classes():

@@ -595,7 +595,7 @@ def test_c_q_one_lies_in_the_commutant_span():
     keys = sorted({key for x in list(basis) + [target] for key in x.terms})
     rows = [[x.terms.get(key, RatFun.of(0)) for x in basis] for key in keys]
     rhs = [target.terms.get(key, RatFun.of(0)) for key in keys]
-    sol = solve_linear(rows, rhs, want_nullspace=False)
+    sol = solve_linear(rows, rhs)
     assert hasattr(sol, "particular")
 
 
