@@ -10,14 +10,17 @@ yields either the particular solution or an infeasibility certificate:
 * a fast route for large rational systems: elimination modulo a fixed,
   deterministic list of 31-bit primes, Chinese remaindering, rational
   reconstruction, and then a mandatory exact verification of the candidate
-  (solution or infeasibility certificate) over Q.
+  (solution or infeasibility certificate).
 
-The fast route tries a candidate after the first prime, and after each
-failed try it doubles the number of agreeing primes before the next one
-(1, 2, 4, ...), so a system whose answer has small entries is solved modulo
-one prime.  It can never return a wrong answer: every candidate is checked
-with exact rational arithmetic before being accepted, and if no candidate
-passes, the reference route runs instead.
+A system whose entries are all ``Fraction`` already has its common variant,
+so only other mixes go through ``unify``.  The fast route clears each row's
+denominators in one pass, tries a candidate after the first prime, and
+after each failed try doubles the number of agreeing primes before the next
+one (1, 2, 4, ...), so a system whose answer has small entries is solved
+modulo one prime.  It can never return a wrong answer: every candidate is
+checked with exact integer arithmetic against the integer rows, after its
+own denominators are cleared, and if no candidate passes, the reference
+route runs instead.
 
 ``nullspace`` reads a kernel basis off one RREF of the rows.
 """
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -185,7 +190,7 @@ def rref(rows):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
+        inv = _F1 / work[r][c]
         if inv != 1:
             work[r] = [x * inv for x in work[r]]
         prow = work[r]
@@ -258,12 +263,15 @@ def solve_linear(A, b):
         raise DimensionError("right-hand side length mismatch")
     if m == 0:
         return LinearSolution([])
-    flat = unify([x for r in rows for x in r] + list(b))
-    if n:
-        it = iter(flat)
-        rows = [[next(it) for _ in range(n)] for _ in range(m)]
-    b = flat[m * n:]
-    rational = all(isinstance(x, Fraction) for x in flat)
+    types = set(map(type, chain.from_iterable(rows)))
+    types.update(map(type, b))
+    rational = types == {Fraction}
+    if not rational:
+        flat = unify([x for r in rows for x in r] + b)
+        if n:
+            it = iter(flat)
+            rows = [[next(it) for _ in range(n)] for _ in range(m)]
+        b = flat[m * n:]
     if rational and m * (n + 1) >= _MODULAR_THRESHOLD:
         res = _solve_modular(rows, b)
         if res is not None:
@@ -424,6 +432,13 @@ def _modp_rref(M: np.ndarray, p: int):
     return pivots
 
 
+def _clear_denominators(values):
+    """The integers D v and D, for D the lcm of the denominators of v."""
+    ratios = [x.as_integer_ratio() for x in values]
+    D = lcm(*map(itemgetter(1), ratios))
+    return [num * (D // den) for num, den in ratios], D
+
+
 def _solve_modular(rows, b):
     """Deterministic modular solve with exact verification; None on failure."""
     m = len(rows)
@@ -432,11 +447,10 @@ def _solve_modular(rows, b):
     scales = []
     int_rows = []
     for r, bi in zip(rows, b):
-        L = lcm(*(x.denominator for x in r), bi.denominator)
-        int_rows.append([x.numerator * (L // x.denominator)
-                         for x in (*r, bi)])
+        row, L = _clear_denominators((*r, bi))
+        int_rows.append(row)
         scales.append(L)
-    max_abs = max((abs(x) for row in int_rows for x in row), default=0)
+    max_abs = max(max(map(abs, row)) for row in int_rows)
     small = max_abs < 2**62
     base = np.array(int_rows, dtype=np.int64) if small else None
 
@@ -463,7 +477,7 @@ def _solve_modular(rows, b):
         used.append((p, track))
         if len(used) < tries_at:
             continue
-        result = _assemble_modular(rows, b, scales, used, structure, n, m)
+        result = _assemble_modular(int_rows, scales, used, structure, n, m)
         if result is not None:
             return result
         tries_at *= 2
@@ -478,7 +492,14 @@ def _combine(used, entry_getter):
     return _rat_reconstruct(r_acc, m_acc)
 
 
-def _assemble_modular(rows, b, scales, used, structure, n, m):
+def _assemble_modular(int_rows, scales, used, structure, n, m):
+    """Reconstruct the candidate and verify it over the integer rows.
+
+    Row k of ``int_rows`` is scales[k] times row k of (A | b), so x solves
+    A x = b exactly when every integer row annihilates (D x, -D), and y is
+    a certificate exactly when (D y).int_rows is 0 before the last column
+    and nonzero at it.
+    """
     if structure and structure[-1] == n:
         # infeasibility candidate: certificate from the tracking block
         row_idx = len(structure) - 1
@@ -487,21 +508,27 @@ def _assemble_modular(rows, b, scales, used, structure, n, m):
             val = _combine(used, lambda t, k=k: t[row_idx, n + 1 + k])
             if val is None:
                 return None
-            y.append(val * scales[k])
-        if not _verify_certificate(rows, b, y):
+            y.append(val)
+        ys, D = _clear_denominators(y)
+        acc = [0] * (n + 1)
+        for yk, row in zip(ys, int_rows):
+            if yk:
+                acc = list(map(add, acc, map(mul, repeat(yk), row)))
+        if any(acc[:n]) or not acc[n]:
             return None
-        d = _dot(y, b)
-        if d != 1:
-            y = [yi / d for yi in y]
-        return Infeasible(y)
+        # y_k scales[k] is a certificate for (A | b) with y.b = acc[n] / D
+        d = Fraction(acc[n], D)
+        return Infeasible([yk * L / d for yk, L in zip(y, scales)])
     x = [_F0] * n
     for i, c in enumerate(structure):
         val = _combine(used, lambda t, i=i: t[i, n])
         if val is None:
             return None
         x[c] = val
-    for row, bi in zip(rows, b):
-        if _dot(row, x) != bi:
+    xs, D = _clear_denominators(x)
+    xs.append(-D)
+    for row in int_rows:
+        if sum(map(mul, row, xs)):
             return None
     return LinearSolution(x)
 

@@ -14,8 +14,8 @@ families of exact predicates classify P:
 A sufficient criterion for multiplicativity is the factorization
 (Delta (x) 1)(P) = (m (x) m (x) 1)((T (x) 1) P_15 P_35) for a four-slot
 tensor T; the defining equation is linear in T, so the solver assembles
-the full coefficient system and hands it to the exact kernel, returning
-either T or an infeasibility certificate.
+its coefficient system over the distinct columns and hands it to the
+exact kernel, returning either T or an infeasibility certificate.
 
 Admissible multiplicative candidates come from pairs (R+, R-) satisfying
 quasitriangularity-style axioms: P = (R+)_21 R- (g (x) 1) with g group-like
@@ -276,6 +276,20 @@ def in_m0(p) -> bool:
 # the T-factorization
 # ---------------------------------------------------------------------------
 
+def _distinct_maps(table, support):
+    """The distinct maps x -> a x b on a support, each with its first (a, b).
+
+    Pairs run in lexicographic order, so the maps come in the order in
+    which their first pairs occur.
+    """
+    first = {}
+    for a, row in enumerate(table):
+        for b in range(len(table)):
+            first.setdefault(tuple(table[row[x]][b] for x in support), (a, b))
+    return [(pair, dict(zip(support, images)))
+            for images, pair in first.items()]
+
+
 def solve_t(p):
     """Solve (Delta (x) 1)(P) = (m (x) m (x) 1)((T (x) 1) P_15 P_35) for T.
 
@@ -283,30 +297,37 @@ def solve_t(p):
     system has |G|^3 equations in |G|^4 unknowns.  Its columns are read
     off one product, Q = P_13 P_23 with terms (p1, q1, p2 q2): the column
     of T's basis tensor (t1, t2, t3, t4) holds each coefficient of Q at
-    the row (t1 p1 t2, t3 q1 t4, p2 q2).  Returns a four-slot tensor or
-    the Infeasible certificate produced by the exact solver.
+    the row (t1 p1 t2, t3 q1 t4, p2 q2).  So a column depends only on the
+    maps p1 -> t1 p1 t2 and q1 -> t3 q1 t4 on the supports of Q's first
+    two slots, and the system is built over the first column of each pair
+    of maps: |G|^3 rows by the distinct columns, which is |G|^2 for an
+    abelian G.  Elimination never pivots on a column equal to an earlier
+    one and sets free unknowns to 0, so the dropped columns change
+    neither T nor the certificate, which is over rows.  Returns a
+    four-slot tensor or the Infeasible certificate produced by the exact
+    solver.
     """
     t = _tensor_of(p)
     grp = t.group
     n = grp.order
     table = grp.table
-    q = list((embed(t, 3, (0, 2)) * embed(t, 3, (1, 2))).terms.items())
-    cols = list(itertools.product(range(n), repeat=4))
+    q = (embed(t, 3, (0, 2)) * embed(t, 3, (1, 2))).terms
+    left, right = (_distinct_maps(table, sorted({key[s] for key in q}))
+                   for s in (0, 1))
+    cols = list(itertools.product(left, right))
     rows = [[_F0] * len(cols) for _ in range(n ** 3)]
-    for col, (t1, t2, t3, t4) in enumerate(cols):
+    for col, ((_, f), (_, g)) in enumerate(cols):
         # (p1, q1) -> (t1 p1 t2, t3 q1 t4) is injective, so no two terms
         # of Q share a row of this column
-        for (p1, q1, g3), c in q:
-            g1 = table[table[t1][p1]][t2]
-            g2 = table[table[t3][q1]][t4]
-            rows[(g1 * n + g2) * n + g3][col] = c
+        for (p1, q1, g3), c in q.items():
+            rows[(f[p1] * n + g[q1]) * n + g3][col] = c
     b = [_F0] * (n ** 3)
     for (g1, g2, g3), c in apply_delta(t, 0).terms.items():
         b[(g1 * n + g2) * n + g3] = c
     res = solve_linear(rows, b)
     if isinstance(res, Infeasible):
         return res
-    return TensorElement(grp, 4, {key: v for key, v
+    return TensorElement(grp, 4, {lp + rp: v for ((lp, _), (rp, _)), v
                                   in zip(cols, res.particular) if v})
 
 

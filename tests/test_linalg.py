@@ -166,6 +166,8 @@ def test_rref_known_form():
     assert rows[0] == (F(1), F(0), F(-1))
     assert rows[1] == (F(0), F(1), F(2))
     assert rows[2] == (F(0), F(0), F(0))
+    # a float equals the Fraction it rounds to, so check the types too
+    assert all(type(x) is not float for row in rows for x in row)
 
 
 def test_rref_invariant_under_row_operations():
@@ -299,10 +301,13 @@ def test_modular_route_matches_reference_infeasible():
 
 
 def test_modular_route_with_fractional_entries():
+    # 91 x 110 is just above the threshold, so solve_linear takes the
+    # modular route
     rng = random.Random(208)
-    n = 110
+    m, n = 91, 110
+    assert m * (n + 1) >= _MODULAR_THRESHOLD
     rows = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
-            for _ in range(90)]
+            for _ in range(m)]
     x0 = [F(rng.randint(-5, 5)) for _ in range(n)]
     b = [_dot(r, x0) for r in rows]
     res = solve_linear(rows, b)
@@ -369,6 +374,27 @@ def test_modular_route_survives_a_bad_first_prime(monkeypatch, feasible):
     else:
         assert check_solution(rows, b, fast) == "infeasible"
         assert fast.certificate == slow.certificate
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_modular_route_rejects_an_answer_that_holds_only_modulo_p(
+        monkeypatch, feasible):
+    # p + 1 is 1 modulo the first prime p, so the candidate tried after one
+    # prime (x = 1, or the certificate (-1, 1)) holds modulo p but not over
+    # Q; verification must reject it, and more primes give the exact answer
+    p = _primes31()[0]
+    if feasible:
+        rows, b = [[F(1)]], [F(p + 1)]
+    else:
+        rows, b = [[F(1)], [F(p + 1)]], [F(0), F(1)]
+    counts = _pivot_counts(monkeypatch)
+    fast = _solve_modular(rows, b)
+    assert len(counts) > 1
+    if feasible:
+        assert fast.particular == (F(p + 1),)
+    else:
+        assert fast.certificate == (F(-p - 1), F(1))
+        assert fast.certificate == _solve_exact(rows, b).certificate
 
 
 def _oracle_modp_rref(M, p):
@@ -502,6 +528,10 @@ def test_subspace_membership():
     assert not U.contains([0, 0, 1])
     assert U.contains_subspace(Subspace(3, [[1, 1, 2]]))
     assert not U.contains_subspace(Subspace(3, [[1, 1, 2], [0, 0, 1]]))
+    V = Subspace(2, [[2, 1]])
+    assert V.basis == ((F(1), F(1, 2)),)
+    for W in (U, V):
+        assert all(type(x) is not float for row in W.basis for x in row)
 
 
 def test_subspace_sum_intersect_dimension_formula():
