@@ -28,6 +28,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     InternalError,
@@ -132,8 +133,15 @@ def a_basis(group: Group) -> ABasis:
 # the quadratic constraint system
 # ---------------------------------------------------------------------------
 
+def _rows(element: AlgebraElement):
+    """(g, c) rows of an algebra element, with an int c where integral."""
+    return tuple((g, c.numerator if isinstance(c, Fraction)
+                  and c.denominator == 1 else c)
+                 for g, c in element.terms.items())
+
+
 def _pair_tables(group: Group, basis: ABasis):
-    """Per irrep pair: images of the basis under the three maps.
+    """Per irrep pair: rows of the images of the basis under the three maps.
 
     For the pair (V, W) multiplicativity of the transfer on characters
     reads (sum x_k u_k) * (sum x_l w_l) = sum x_k L_k in kG, with
@@ -141,14 +149,14 @@ def _pair_tables(group: Group, basis: ABasis):
     The images u and w are taken once per character and shared by pairs.
     """
     table = character_table(group)
-    images = [[phi(b, chi) for b in basis.elements] for _, chi in table]
+    images = [[_rows(phi(b, chi)) for b in basis.elements]
+              for _, chi in table]
     out = []
-    for i, (lv, zv) in enumerate(table):
+    for i, (_, zv) in enumerate(table):
         for j in range(i, len(table)):
-            lw, zw = table[j]
-            zvw = convolve(zv, zw)
-            ls = [phi(b, zvw) for b in basis.elements]
-            out.append((lv, lw, images[i], images[j], ls))
+            zvw = convolve(zv, table[j][1])
+            out.append((images[i], images[j],
+                        [_rows(phi(b, zvw)) for b in basis.elements]))
     return out
 
 
@@ -164,23 +172,37 @@ def assemble_constraints(group: Group) -> PolySystem:
 
 @lru_cache(maxsize=None)
 def _constraints(group: Group):
-    """(the assembled system, the pair tables it was read from)."""
+    """(the assembled system, the pair tables it was read from).
+
+    The images become (g, c) rows, with integer c where they are
+    integral, so each product u_k w_l is a sum of plain scalar products
+    over the group table rather than an algebra element.
+    """
     basis = a_basis(group)
     d = len(basis)
     n = group.order
+    mul = group.table
     linear = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
     quadratic = [[tuple(a + b for a, b in zip(mk, ml)) for ml in linear]
                  for mk in linear]
     pair_tables = _pair_tables(group, basis)
     polys = []
-    for _, _, us, ws, ls in pair_tables:
+    for us, ws, ls in pair_tables:
         equations = [[] for _ in range(n)]
-        for k in range(d):
-            for l in range(d):
+        for k, u in enumerate(us):
+            for l, w in enumerate(ws):
+                product = {}
+                for a, x in u:
+                    row = mul[a]
+                    for b, y in w:
+                        g = row[b]
+                        s = product.get(g)
+                        product[g] = x * y if s is None else s + x * y
                 mono = quadratic[k][l]
-                for g, c in (us[k] * ws[l]).terms.items():
-                    equations[g].append((mono, c))
-            for g, c in ls[k].terms.items():
+                for g, c in product.items():
+                    if c:
+                        equations[g].append((mono, c))
+            for g, c in ls[k]:
                 equations[g].append((linear[k], -c))
         for terms in equations:
             poly = Poly(d, terms)
@@ -189,18 +211,43 @@ def _constraints(group: Group):
     return PolySystem(basis.names, polys), pair_tables
 
 
-def _combination(coords, elements) -> AlgebraElement:
-    """sum x_k e_k for algebra elements e_k, skipping zero coordinates."""
-    return AlgebraElement(elements[0].group, (
-        (i, x * c) for x, e in zip(coords, elements) if x
-        for i, c in e.terms.items()))
+def _violates_fast(point, table, pair_tables) -> bool:
+    """Whether the point fails the assembled equations, tested over D^2.
+
+    D is the lcm of the denominators of the point's rational coordinates
+    and n_k = x_k D.  The equations multiplied by D^2 read
+    (sum n_k u_k)(sum n_l w_l) = D sum n_k L_k, so every verdict is the
+    same, and on integral rows the test runs over exact integers.
+    """
+    scale = lcm(*(x.denominator for x in point if isinstance(x, Fraction)))
+    return _violates_scaled(
+        scale, [x.numerator * (scale // x.denominator)
+                if isinstance(x, Fraction) else x * scale for x in point],
+        table, pair_tables)
 
 
-def _violates_fast(point, pair_tables) -> bool:
-    """Same equations as the assembled system, evaluated pairwise in kG."""
-    for _, _, us, ws, ls in pair_tables:
-        if (_combination(point, us) * _combination(point, ws)
-                != _combination(point, ls)):
+def _violates_scaled(scale, numerators, table, pair_tables) -> bool:
+    """(sum n_k u_k)(sum n_l w_l) != scale sum n_k L_k for some pair."""
+    n = len(table)
+
+    def combination(images):
+        out = [0] * n
+        for x, rows in zip(numerators, images):
+            if x:
+                for g, c in rows:
+                    out[g] += x * c
+        return out
+
+    for us, ws, ls in pair_tables:
+        left, right = combination(us), combination(ws)
+        product = [0] * n
+        for a, x in enumerate(left):
+            if x:
+                row = table[a]
+                for b, y in enumerate(right):
+                    if y:
+                        product[row[b]] += x * y
+        if product != [scale * c for c in combination(ls)]:
             return True
     return False
 
@@ -334,11 +381,15 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         d = len(basis)
         survivors = 0
         for _ in range(count):
-            point = [Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-                     for _ in range(d)]
-            if _violates_fast(point, pair_tables):
+            # (numerator, denominator) draws; Fractions only for survivors
+            draw = [(rng.randint(-20, 20), rng.randint(1, 20))
+                    for _ in range(d)]
+            scale = lcm(*(b for _, b in draw))
+            if _violates_scaled(scale, [a * (scale // b) for a, b in draw],
+                                group.table, pair_tables):
                 continue
             survivors += 1
+            point = [Fraction(a, b) for a, b in draw]
             if not system.satisfied_by(point):
                 raise InternalError(
                     "fast filter and polynomial system disagree")

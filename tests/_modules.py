@@ -1,18 +1,24 @@
 """Module maps, direct sums and cocycle extensions shared by the test
-modules.
+modules, and a reference assembly of the search system.
 
 `intertwiners` solves for module maps by exact elimination, independently
 of the characters the package decides isomorphism with, so the tests use
 it as the oracle for Schur's lemma and for splitting.  The cocycle
 helpers build non-split-looking modules whose characters must still add.
+`reference_constraints` assembles the search system from algebra-element
+products, the oracle for the row assembly of `search.assemble_constraints`.
 """
 
 from fractions import Fraction
 
 from peterweyl.errors import PreconditionError
 from peterweyl.exact.linalg import Matrix, nullspace
+from peterweyl.exact.polysys import Poly, PolySystem
 from peterweyl.groups import Group, same_group
-from peterweyl.reps import Rep
+from peterweyl.hopf import convolve
+from peterweyl.reps import Rep, character_table
+from peterweyl.search import a_basis
+from peterweyl.transfer import phi
 
 _F0 = Fraction(0)
 
@@ -127,3 +133,37 @@ def extension_by_cocycle(v: Rep, w: Rep, rho) -> Rep:
         bot = [[_F0] * v.dim + list(r) for r in w.matrices[g].rows]
         mats.append(Matrix(top + bot))
     return Rep(v.group, mats, "%s(+_rho)%s" % (v.label, w.label))
+
+
+def reference_constraints(group: Group) -> PolySystem:
+    """The search system with every u_k w_l an `AlgebraElement` product.
+
+    For each irrep pair (V, W) and each g, the equation is the
+    g-coefficient of (sum x_k u_k)(sum x_l w_l) - sum x_k L_k, with
+    u_k = phi(B_k, z_V), w_k = phi(B_k, z_W), L_k = phi(B_k, z_V z_W);
+    the terms go into each `Poly` in the order (k, l), then L_k.
+    """
+    basis = a_basis(group)
+    d = len(basis)
+    linear = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
+    table = character_table(group)
+    images = [[phi(b, chi) for b in basis.elements] for _, chi in table]
+    polys = []
+    for i, (_, zv) in enumerate(table):
+        for j in range(i, len(table)):
+            zvw = convolve(zv, table[j][1])
+            us, ws = images[i], images[j]
+            ls = [phi(b, zvw) for b in basis.elements]
+            equations = [[] for _ in range(group.order)]
+            for k in range(d):
+                for l in range(d):
+                    mono = tuple(a + b for a, b in zip(linear[k], linear[l]))
+                    for g, c in (us[k] * ws[l]).terms.items():
+                        equations[g].append((mono, c))
+                for g, c in ls[k].terms.items():
+                    equations[g].append((linear[k], -c))
+            for terms in equations:
+                poly = Poly(d, terms)
+                if poly:
+                    polys.append(poly)
+    return PolySystem(basis.names, polys)

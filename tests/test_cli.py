@@ -9,6 +9,7 @@ Independent oracles used here:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -184,6 +185,31 @@ def test_capped_groebner_search_stops_at_its_step_cap(tmp_path, token,
     assert outcome["verdict"] == "NoneFoundBounded"
     assert outcome["log"] == [encoding,
                               "completion status: unknown after 21 steps"]
+
+
+# sha256 of the artifact of `search --strategy random --seed 1` for the
+# four random searches of the benchmark's search workload
+RANDOM_SEARCH_ARTIFACTS = {
+    ("Z2xZ2", 1000):
+        "cdf487cf50321d6a57e47dcf4adc518777d678afb4f04fbc31e2c53660fab65b",
+    ("S3", 300):
+        "ede3bf18934244ab47005b36a0eb50ba52bc4b2218a6ec56886da049e6e981d3",
+    ("D4", 1000):
+        "92874d3b9c9f8bf3d64a0c02406c706b0e693b7e741e9ddc7b63819306b9045a",
+    ("D6", 100):
+        "8e325254a8fba763f5f7b7178d8e6338fcc4ff091ab1722f27e604f04deff10d",
+}
+
+
+@pytest.mark.parametrize("token, count", list(RANDOM_SEARCH_ARTIFACTS),
+                         ids=[t for t, _ in RANDOM_SEARCH_ARTIFACTS])
+def test_random_search_artifacts_are_pinned(tmp_path, token, count):
+    out = tmp_path / "r.json"
+    code = main(["search", "--group", token, "--strategy", "random",
+                 "--count", str(count), "--seed", "1", "--out", str(out)])
+    assert code == (0 if token in ("Z2xZ2", "S3") else 1)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == RANDOM_SEARCH_ARTIFACTS[token, count]
 
 
 def test_search_verify_only_family():

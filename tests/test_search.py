@@ -6,11 +6,13 @@ check that known constructions satisfy the assembled equations, and pin
 the search outcomes with fixed seeds.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from _modules import reference_constraints
 from peterweyl.errors import (
     InternalError,
     PreconditionError,
@@ -32,7 +34,7 @@ from peterweyl.search import (
     assemble_constraints,
     full_verify,
     search,
-    _pair_tables,
+    _constraints,
     _symbolic_transfer_determinant,
     _violates_fast,
 )
@@ -140,26 +142,64 @@ def test_perturbing_one_coordinate_violates_an_equation():
     assert system.first_violated(coords) is not None
 
 
+def _bicharacter_coords(grp):
+    cand = p_from_r(TensorElement.unit(grp, 2), bicharacter_r(grp),
+                    AlgebraElement.one(grp))
+    return list(_coords_of(a_basis(grp), cand.tensor))
+
+
+def _random_point(rng, grp):
+    return [F(rng.randint(-20, 20), rng.randint(1, 20))
+            for _ in range(len(a_basis(grp)))]
+
+
 def test_fast_filter_agrees_with_the_system():
-    # the filter must reject a point exactly when the system fails there
+    # the filter must reject a point exactly when the system fails there;
+    # cases are (group, point, expected verdict or None)
     rng = random.Random(53)
     d4 = dihedral(4)
     basis = a_basis(d4)
-    points = [[F(rng.randint(-20, 20), rng.randint(1, 20))
-               for _ in range(len(basis))] for _ in range(50)]
+    points = [_random_point(rng, d4) for _ in range(50)]
     points.append(list(_coords_of(basis, unit_p(d4).tensor)))
-    cases = [(d4, pt) for pt in points]
+    points.append([F(0)] * len(basis))
+    # denominators 1..20 in turn, so the point clears with lcm(1..20)
+    wide = [rng.randint(-3, 3) + F(rng.choice((-1, 1)), 1 + i % 20)
+            for i in range(len(basis))]
+    assert math.lcm(*(x.denominator for x in wide)) == math.lcm(
+        *range(1, 21))
+    points.append(wide)
+    cases = [(d4, pt, None) for pt in points]
     s3 = symmetric(3)
     for lam, mu in ((1, 1), (2, 3)):
         coords = _coords_of(a_basis(s3), s3_family(F(lam), F(mu)).tensor)
-        cases.append((s3, list(coords)))
-    tables = {g.key: _pair_tables(g, a_basis(g)) for g in (d4, s3)}
+        cases.append((s3, list(coords), True))
+    d6 = dihedral(6)
+    cases.extend((d6, _random_point(rng, d6), None) for _ in range(10))
+    for grp in (cyclic(3), cyclic(4)):
+        cases.append((grp, _bicharacter_coords(grp), True))
+        cases.extend((grp, _random_point(rng, grp), False)
+                     for _ in range(10))
     seen = set()
-    for grp, pt in cases:
+    for grp, pt, expected in cases:
         satisfied = assemble_constraints(grp).satisfied_by(pt)
-        assert _violates_fast(pt, tables[grp.key]) == (not satisfied)
+        assert _violates_fast(pt, grp.table, _constraints(grp)[1]) == (
+            not satisfied)
+        assert expected in (None, satisfied)
         seen.add(satisfied)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("token", ["Z1", "Z2xZ2", "Z3", "Z4", "Z5", "S3",
+                                   "D4"])
+def test_row_assembly_matches_the_algebra_element_reference(token):
+    grp = parse_group(token)
+    got = assemble_constraints(grp)
+    want = reference_constraints(grp)
+    assert got.names == want.names
+    assert len(got.polys) == len(want.polys)
+    for p, q in zip(got.polys, want.polys):
+        assert ([(m, type(c), c) for m, c in p.terms.items()]
+                == [(m, type(c), c) for m, c in q.terms.items()])
 
 
 def test_regular_candidate_fails_the_system():
@@ -172,11 +212,8 @@ def test_regular_candidate_fails_the_system():
 def test_bicharacter_candidates_satisfy_their_systems():
     for name in ("Z5", "Z2xZ2", "Z4"):
         grp = parse_group(name)
-        cand = p_from_r(TensorElement.unit(grp, 2), bicharacter_r(grp),
-                        AlgebraElement.one(grp))
-        basis = a_basis(grp)
         system = assemble_constraints(grp)
-        assert system.satisfied_by(list(_coords_of(basis, cand.tensor)))
+        assert system.satisfied_by(_bicharacter_coords(grp))
 
 
 def test_unit_tensor_satisfies_every_system():
