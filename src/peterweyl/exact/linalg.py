@@ -2,25 +2,27 @@
 
 Everything is computed exactly; there is no numeric tolerance anywhere.
 
-``solve_linear`` has two routes to the same canonical answer, and each
-yields either the particular solution or an infeasibility certificate:
+``solve_linear`` has two routes to the same canonical answer, chosen by
+the scalar type of the system, and each yields either the particular
+solution or an infeasibility certificate:
 
-* a reference route: fraction/field Gauss-Jordan elimination with the
-  first-nonzero pivot rule;
-* a fast route for large rational systems: elimination modulo a fixed,
-  deterministic list of 31-bit primes, Chinese remaindering, rational
-  reconstruction, and then a mandatory exact verification of the candidate
-  (solution or infeasibility certificate).
+* a modular route for every system whose entries are all ``Fraction``:
+  elimination modulo a fixed, deterministic list of 31-bit primes, Chinese
+  remaindering, rational reconstruction, and then a mandatory exact
+  verification of the candidate (solution or infeasibility certificate);
+* an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
+  the modular one: field Gauss-Jordan elimination with the first-nonzero
+  pivot rule.
 
 A system whose entries are all ``Fraction`` already has its common variant,
-so only other mixes go through ``unify``.  The fast route clears each row's
-denominators in one pass, tries a candidate after the first prime, and
-after each failed try doubles the number of agreeing primes before the next
-one (1, 2, 4, ...), so a system whose answer has small entries is solved
-modulo one prime.  It can never return a wrong answer: every candidate is
-checked with exact integer arithmetic against the integer rows, after its
-own denominators are cleared, and if no candidate passes, the reference
-route runs instead.
+so only other mixes go through ``unify``.  The modular route clears each
+row's denominators in one pass, tries a candidate after the first prime,
+and after each failed try doubles the number of agreeing primes before the
+next one (1, 2, 4, ...), so a system whose answer has small entries is
+solved modulo one prime.  It can never return a wrong answer: every
+candidate is checked with exact integer arithmetic against the integer
+rows, after its own denominators are cleared, and if no candidate passes,
+the exact route runs instead.
 
 ``nullspace`` reads a kernel basis off one RREF of the rows.
 """
@@ -40,9 +42,6 @@ from .scalars import Frozen, as_scalar, unify
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-# rational systems at least this large (rows * cols) take the modular route
-_MODULAR_THRESHOLD = 10_000
 
 
 class Matrix(Frozen):
@@ -265,17 +264,16 @@ def solve_linear(A, b):
         return LinearSolution([])
     types = set(map(type, chain.from_iterable(rows)))
     types.update(map(type, b))
-    rational = types == {Fraction}
-    if not rational:
+    if types == {Fraction}:
+        res = _solve_modular(rows, b)
+        if res is not None:
+            return res
+    else:
         flat = unify([x for r in rows for x in r] + b)
         if n:
             it = iter(flat)
             rows = [[next(it) for _ in range(n)] for _ in range(m)]
         b = flat[m * n:]
-    if rational and m * (n + 1) >= _MODULAR_THRESHOLD:
-        res = _solve_modular(rows, b)
-        if res is not None:
-            return res
     return _solve_exact(rows, b)
 
 

@@ -318,7 +318,8 @@ class PolySystem(Frozen):
         for p in polys:
             if p.nvars != len(names):
                 raise DimensionError("system/polynomial variable mismatch")
-        # cheap equations first, so point filtering can fail fast
+        # one canonical order, short equations first: buchberger's pairs,
+        # and so the step counts that capped searches log, follow it
         polys = tuple(sorted(polys, key=lambda p: (len(p.terms),
                                                    sorted(p.terms))))
         object.__setattr__(self, "names", names)

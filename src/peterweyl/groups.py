@@ -31,39 +31,6 @@ from .errors import InternalError, PreconditionError
 from .exact.scalars import Frozen
 
 
-class GroupElement(Frozen):
-    """One basis element: an owning group plus an index."""
-
-    __slots__ = ("group", "index")
-
-    def __init__(self, group: "Group", index: int):
-        if not 0 <= index < group.order:
-            raise PreconditionError("element index out of range")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        if not same_group(self.group, other.group):
-            raise PreconditionError("elements of different groups")
-        return GroupElement(self.group, self.group.mul(self.index, other.index))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse(self.index))
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return same_group(self.group, other.group) and self.index == other.index
-
-    def __hash__(self):
-        return hash((self.group.key, self.index))
-
-    def __repr__(self):
-        return self.group.elements[self.index]
-
-
 class Group(Frozen):
     """A finite group as an immutable multiplication table."""
 
@@ -177,10 +144,6 @@ class Group(Frozen):
 
     # -- arithmetic ----------------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
@@ -190,9 +153,6 @@ class Group(Frozen):
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.table[self.table[g][x]][self.inv[g]]
-
-    def element(self, i: int) -> GroupElement:
-        return GroupElement(self, i)
 
     def centralizer_size(self, i: int) -> int:
         return sum(1 for h in range(self.order)

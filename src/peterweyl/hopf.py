@@ -40,7 +40,7 @@ from .exact.scalars import (
     scalar_to_str,
     unify,
 )
-from .groups import Group, GroupElement, from_descriptor, same_group
+from .groups import Group, from_descriptor, same_group
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -94,8 +94,6 @@ class AlgebraElement(Terms):
     def of(x) -> "AlgebraElement":
         if isinstance(x, AlgebraElement):
             return x
-        if isinstance(x, GroupElement):
-            return AlgebraElement.basis(x.group, x.index)
         raise PreconditionError("cannot view %r as an algebra element" % (x,))
 
     def __mul__(self, other):
@@ -367,8 +365,6 @@ class Functional(Frozen):
     def __call__(self, x):
         if isinstance(x, int):
             return self.values[x]
-        if isinstance(x, GroupElement):
-            return self.values[x.index]
         if isinstance(x, AlgebraElement):
             if not same_group(self.group, x.group):
                 raise PreconditionError("pairing across different groups")

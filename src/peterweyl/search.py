@@ -5,15 +5,18 @@ basis of diagonal-conjugation orbit sums; its dimension is counted twice
 (orbit enumeration, and union-find components of the conditions for the
 generators) and the counts must agree.  On that coordinate space the
 character-multiplicativity requirement becomes a finite system of
-quadratic equations, assembled once per group.
+quadratic equations.  Its rows, the images of the basis under the transfer
+for each pair of characters, are taken once per group; the polynomial
+system is built from them, also once per group, only where it is read.
 
 Three search strategies share one outcome type:
 
 * verify_only re-runs the full predicate stack on one supplied candidate;
 * random_sampling draws small-height rational coordinate vectors, filters
-  them through the quadratic system, and fully re-verifies survivors, after
-  first trying the known structured constructions (unit, bicharacter pair,
-  the symmetric-group family);
+  them over the rows of the quadratic system, checks each survivor against
+  the polynomial system and fully re-verifies it, after first trying the
+  known structured constructions (unit, bicharacter pair, the
+  symmetric-group family);
 * groebner runs a capped completion on the system, optionally extended by
   a t*det - 1 equation encoding bijectivity for very small groups, and
   reports infeasibility only on a certified reduction of 1.
@@ -140,43 +143,38 @@ def _rows(element: AlgebraElement):
                  for g, c in element.terms.items())
 
 
-def _pair_tables(group: Group, basis: ABasis):
+@lru_cache(maxsize=None)
+def _pair_tables(group: Group):
     """Per irrep pair: rows of the images of the basis under the three maps.
 
     For the pair (V, W) multiplicativity of the transfer on characters
     reads (sum x_k u_k) * (sum x_l w_l) = sum x_k L_k in kG, with
     u_k = phi(B_k, z_V), w_k = phi(B_k, z_W), L_k = phi(B_k, z_V z_W).
+    Each image is a tuple of (g, c) rows, with an int c where it is
+    integral, so products are plain scalar sums over the group table.
     The images u and w are taken once per character and shared by pairs.
     """
+    basis = a_basis(group)
     table = character_table(group)
-    images = [[_rows(phi(b, chi)) for b in basis.elements]
+    images = [tuple(_rows(phi(b, chi)) for b in basis.elements)
               for _, chi in table]
     out = []
     for i, (_, zv) in enumerate(table):
         for j in range(i, len(table)):
             zvw = convolve(zv, table[j][1])
             out.append((images[i], images[j],
-                        [_rows(phi(b, zvw)) for b in basis.elements]))
-    return out
+                        tuple(_rows(phi(b, zvw)) for b in basis.elements)))
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def assemble_constraints(group: Group) -> PolySystem:
     """Quadratic equations for character multiplicativity in orbit coords.
 
     For each irrep pair and each group element g, the equation is the
-    g-coefficient of (sum x_k u_k)(sum x_l w_l) - sum x_k L_k; each product
-    u_k w_l is taken once and feeds the equations of all its terms.
-    """
-    return _constraints(group)[0]
-
-
-@lru_cache(maxsize=None)
-def _constraints(group: Group):
-    """(the assembled system, the pair tables it was read from).
-
-    The images become (g, c) rows, with integer c where they are
-    integral, so each product u_k w_l is a sum of plain scalar products
-    over the group table rather than an algebra element.
+    g-coefficient of (sum x_k u_k)(sum x_l w_l) - sum x_k L_k, read off the
+    rows of `_pair_tables`; each product u_k w_l is taken once and feeds
+    the equations of all its terms.
     """
     basis = a_basis(group)
     d = len(basis)
@@ -185,9 +183,8 @@ def _constraints(group: Group):
     linear = [tuple(1 if t == k else 0 for t in range(d)) for k in range(d)]
     quadratic = [[tuple(a + b for a, b in zip(mk, ml)) for ml in linear]
                  for mk in linear]
-    pair_tables = _pair_tables(group, basis)
     polys = []
-    for us, ws, ls in pair_tables:
+    for us, ws, ls in _pair_tables(group):
         equations = [[] for _ in range(n)]
         for k, u in enumerate(us):
             for l, w in enumerate(ws):
@@ -208,27 +205,21 @@ def _constraints(group: Group):
             poly = Poly(d, terms)
             if poly:
                 polys.append(poly)
-    return PolySystem(basis.names, polys), pair_tables
+    return PolySystem(basis.names, polys)
 
 
-def _violates_fast(point, table, pair_tables) -> bool:
-    """Whether the point fails the assembled equations, tested over D^2.
+def _violates(group: Group, point) -> bool:
+    """Whether the point a/b, for each (a, b) of point, fails the system.
 
-    D is the lcm of the denominators of the point's rational coordinates
-    and n_k = x_k D.  The equations multiplied by D^2 read
-    (sum n_k u_k)(sum n_l w_l) = D sum n_k L_k, so every verdict is the
-    same, and on integral rows the test runs over exact integers.
+    D is the lcm of the denominators b and n_k = x_k D.  The equations
+    multiplied by D^2 read (sum n_k u_k)(sum n_l w_l) = D sum n_k L_k, so
+    every verdict is the same, and on integral rows the test runs over
+    exact integers.  A coordinate that is not rational is (x, 1).
     """
-    scale = lcm(*(x.denominator for x in point if isinstance(x, Fraction)))
-    return _violates_scaled(
-        scale, [x.numerator * (scale // x.denominator)
-                if isinstance(x, Fraction) else x * scale for x in point],
-        table, pair_tables)
-
-
-def _violates_scaled(scale, numerators, table, pair_tables) -> bool:
-    """(sum n_k u_k)(sum n_l w_l) != scale sum n_k L_k for some pair."""
-    n = len(table)
+    scale = lcm(*(b for _, b in point))
+    numerators = [a * (scale // b) for a, b in point]
+    table = group.table
+    n = group.order
 
     def combination(images):
         out = [0] * n
@@ -238,7 +229,7 @@ def _violates_scaled(scale, numerators, table, pair_tables) -> bool:
                     out[g] += x * c
         return out
 
-    for us, ws, ls in pair_tables:
+    for us, ws, ls in _pair_tables(group):
         left, right = combination(us), combination(ws)
         product = [0] * n
         for a, x in enumerate(left):
@@ -363,9 +354,6 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
                  "random_sampling needs a positive draw count")
         _require(isinstance(seed, int), "the seed must be an integer")
         basis = a_basis(group)
-        system = assemble_constraints(group)
-        # memoized with the system that assemble_constraints just returned
-        pair_tables = _constraints(group)[1]
         log = []
         candidates = []
         structured, slog = _structured_candidates(group)
@@ -384,13 +372,12 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
             # (numerator, denominator) draws; Fractions only for survivors
             draw = [(rng.randint(-20, 20), rng.randint(1, 20))
                     for _ in range(d)]
-            scale = lcm(*(b for _, b in draw))
-            if _violates_scaled(scale, [a * (scale // b) for a, b in draw],
-                                group.table, pair_tables):
+            if _violates(group, draw):
                 continue
             survivors += 1
             point = [Fraction(a, b) for a, b in draw]
-            if not system.satisfied_by(point):
+            # the system is built only once a draw survives
+            if not assemble_constraints(group).satisfied_by(point):
                 raise InternalError(
                     "fast filter and polynomial system disagree")
             cand = PCandidate(basis.to_tensor(point), "random draw")

@@ -92,7 +92,7 @@ def cocycle_check(v: Rep, w: Rep, rho) -> bool:
     for m in rho:
         if m.nrows != v.dim or m.ncols != w.dim:
             raise PreconditionError("cocycle matrices must map W to V")
-    if rho[grp.identity] != Matrix.zeros(v.dim, w.dim):
+    if rho[0] != Matrix.zeros(v.dim, w.dim):
         return False
     for g in range(grp.order):
         for s in grp.gens:

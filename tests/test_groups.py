@@ -274,7 +274,6 @@ def test_equal_loads_hash_equal():
     a, b = from_descriptor(desc), from_descriptor(desc)
     assert a is not b and same_group(a, b)
     pairs = [
-        (a.element(1), b.element(1)),
         (AlgebraElement.basis(a, 1), AlgebraElement.basis(b, 1)),
         (TensorElement(a, 2, {(0, 1): 1}), TensorElement(b, 2, {(0, 1): 1})),
         (Functional.delta(a, 1), Functional.delta(b, 1)),
@@ -314,15 +313,3 @@ def test_family_descriptor_size_must_be_an_int():
             from_descriptor({"kind": "cyclic", "n": n})
     assert from_descriptor({"kind": "cyclic", "n": 1}).key == \
         '{"kind": "cyclic", "n": 1}'
-
-
-def test_group_elements_api():
-    s3 = symmetric(3)
-    a = s3.element(1)
-    b = s3.element(2)
-    assert (a * a.inverse()).index == 0
-    assert (a * b).index == s3.mul(1, 2)
-    with pytest.raises(PreconditionError):
-        s3.element(99)
-    with pytest.raises(PreconditionError):
-        a * cyclic(3).element(1)

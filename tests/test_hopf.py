@@ -209,10 +209,12 @@ def test_delta_is_an_algebra_map():
 
 def test_tensor_componentwise_multiplication():
     rng = random.Random(406)
+    def e(g):
+        return AlgebraElement.basis(S3, g)
+
     for i, j, k, l in [(rng.randrange(6) for _ in range(4)) for _ in range(20)]:
-        lhs = tensor(S3.element(i), S3.element(j)) \
-            * tensor(S3.element(k), S3.element(l))
-        rhs = tensor(S3.element(S3.mul(i, k)), S3.element(S3.mul(j, l)))
+        lhs = tensor(e(i), e(j)) * tensor(e(k), e(l))
+        rhs = tensor(e(S3.mul(i, k)), e(S3.mul(j, l)))
         assert lhs == rhs
 
 
@@ -232,7 +234,7 @@ def test_permute_slots_swaps_factors():
 
 
 def test_embed_places_identity_elsewhere():
-    p = tensor(S3.element(S1), S3.element(S2))
+    p = tensor(AlgebraElement.basis(S3, S1), AlgebraElement.basis(S3, S2))
     e = embed(p, 5, (0, 4))
     assert e == TensorElement(S3, 5, {(S1, 0, 0, 0, S2): 1})
     f = embed(p, 5, (2, 4))
@@ -260,7 +262,7 @@ def test_contract_pairs_one_slot():
 # ---------------------------------------------------------------------------
 
 def test_ad_is_conjugation():
-    s1 = S3.element(S1)
+    s1 = AlgebraElement.basis(S3, S1)
     s2 = AlgebraElement.basis(S3, S2)
     expect = S3.mul(S3.mul(S1, S2), S3.inverse(S1))
     assert act("ad", s1, s2) == AlgebraElement.basis(S3, expect)
@@ -275,8 +277,8 @@ def test_action_composition_laws():
                              lambda r, g: rand_tensor(r, g, 2),
                              rand_functional):
             for _ in range(10):
-                g1 = grp.element(rng.randrange(grp.order))
-                g2 = grp.element(rng.randrange(grp.order))
+                g1 = AlgebraElement.basis(grp, rng.randrange(grp.order))
+                g2 = AlgebraElement.basis(grp, rng.randrange(grp.order))
                 b = target_maker(rng, grp)
                 through_product = act(action, g1 * g2, b)
                 if action in ("ad", "diamond", "left"):
@@ -284,7 +286,7 @@ def test_action_composition_laws():
                 else:
                     nested = act(action, g2, act(action, g1, b))
                 assert through_product == nested, action
-                assert act(action, grp.element(0), b) == b
+                assert act(action, AlgebraElement.basis(grp, 0), b) == b
 
 
 def test_action_linearity_in_h():
@@ -312,7 +314,7 @@ def test_diamond_on_functionals_is_coconjugation():
     for g in range(S3.order):
         for h in range(S3.order):
             xi = Functional.delta(S3, h)
-            out = act("diamond", S3.element(g), xi)
+            out = act("diamond", AlgebraElement.basis(S3, g), xi)
             # (g . xi)(b) = xi(g^{-1} b g) = 1 iff b = g h g^{-1}
             assert out == Functional.delta(S3, S3.conjugate(g, h))
 
@@ -335,12 +337,13 @@ def test_diamond_fixes_invariant_functionals_through_counit():
 
 def test_left_right_action_on_functionals():
     for g in range(S3.order):
+        eg = AlgebraElement.basis(S3, g)
         for h in range(S3.order):
             # (g . delta_h)(b) = delta_h(b g), supported at b = h g^{-1}
-            out = act("left", S3.element(g), Functional.delta(S3, h))
+            out = act("left", eg, Functional.delta(S3, h))
             assert out == Functional.delta(S3, S3.mul(h, S3.inverse(g)))
             # (g . delta_h)(b) = delta_h(g b), supported at b = g^{-1} h
-            out = act("right", S3.element(g), Functional.delta(S3, h))
+            out = act("right", eg, Functional.delta(S3, h))
             assert out == Functional.delta(S3, S3.mul(S3.inverse(g), h))
 
 
@@ -362,7 +365,7 @@ def test_orbit_sum_of_unit():
 def test_orbit_sum_of_transposition_tensor_one():
     # the conjugation orbit of s1 is all three transpositions, each reached
     # from two of the six group elements
-    x = tensor(S3.element(S1), S3.element(0))
+    x = tensor(AlgebraElement.basis(S3, S1), AlgebraElement.basis(S3, 0))
     got = orbit_sum(x)
     # the elements of order 2: not the identity, squaring to it
     transpositions = [i for i in range(1, 6) if S3.table[i][i] == 0]
@@ -380,7 +383,7 @@ def test_orbit_sum_commutes_with_delta():
             dg = AlgebraElement.basis(D4, g).delta()
             assert dg * y == y * dg
         for g in range(D4.order):
-            assert act("ad", D4.element(g), y) == y
+            assert act("ad", AlgebraElement.basis(D4, g), y) == y
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +481,7 @@ def test_trivial_group_invariants():
 # ---------------------------------------------------------------------------
 
 def test_tensor_json_frozen_form():
-    x = tensor(S3.element(S1), S3.element(0))
+    x = tensor(AlgebraElement.basis(S3, S1), AlgebraElement.basis(S3, 0))
     obj = tensor_to_json(x)
     assert obj == {"group": {"kind": "symmetric", "n": 3},
                    "arity": 2,

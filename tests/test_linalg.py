@@ -15,7 +15,6 @@ from peterweyl.exact.linalg import (
     LinearSolution,
     Matrix,
     Subspace,
-    _MODULAR_THRESHOLD,
     _dot,
     _modp_rref,
     _primes31,
@@ -193,7 +192,7 @@ def test_rref_invariant_under_row_operations():
 
 
 # ---------------------------------------------------------------------------
-# random sweeps through the reference route
+# random sweeps of solve_linear
 # ---------------------------------------------------------------------------
 
 def test_solve_random_sweep_rational():
@@ -240,8 +239,16 @@ def test_consistent_by_construction_sweep():
 
 
 # ---------------------------------------------------------------------------
-# modular fast route: primes, reconstruction, agreement with the reference
+# modular route: primes, reconstruction, agreement with the exact route
 # ---------------------------------------------------------------------------
+
+def _forbid_exact_route(monkeypatch):
+    """Make solve_linear fail unless _solve_modular gives the answer."""
+    def exact(rows, b):
+        raise AssertionError("solve_linear fell back to the exact route")
+
+    monkeypatch.setattr(linalg, "_solve_exact", exact)
+
 
 def test_prime_list_is_prime_distinct_descending():
     primes = _primes31()
@@ -280,8 +287,34 @@ def _random_big_system(rng, m, n, feasible):
     return rows, b
 
 
-def test_modular_route_matches_reference_feasible():
-    # 80 x 124 crosses the size threshold, so the fast route runs first
+def test_small_rational_systems_take_the_modular_route(monkeypatch):
+    # every all-Fraction system is solved modulo primes, however small,
+    # with the same canonical answer as the exact route
+    _forbid_exact_route(monkeypatch)
+    rng = random.Random(211)
+    systems = [([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(2)]),
+               ([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(3)]),
+               ([[F(0), F(0)]], [F(0)])]
+    for _ in range(100):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        systems.append(([[rand_frac(rng, 6) for _ in range(n)]
+                         for _ in range(m)],
+                        [rand_frac(rng, 6) for _ in range(m)]))
+    kinds = set()
+    for rows, b in systems:
+        fast = solve_linear(rows, b)
+        slow = _solve_exact(rows, b)
+        kinds.add(check_solution(rows, b, fast))
+        assert type(fast) is type(slow)
+        if isinstance(fast, Infeasible):
+            assert fast.certificate == slow.certificate
+        else:
+            assert fast.particular == slow.particular
+    assert kinds == {"feasible", "infeasible"}
+
+
+def test_modular_route_matches_reference_feasible(monkeypatch):
+    _forbid_exact_route(monkeypatch)
     rng = random.Random(206)
     rows, b = _random_big_system(rng, 80, 124, feasible=True)
     fast = solve_linear(rows, b)
@@ -290,7 +323,8 @@ def test_modular_route_matches_reference_feasible():
     assert fast.particular == slow.particular
 
 
-def test_modular_route_matches_reference_infeasible():
+def test_modular_route_matches_reference_infeasible(monkeypatch):
+    _forbid_exact_route(monkeypatch)
     rng = random.Random(207)
     rows, b = _random_big_system(rng, 80, 124, feasible=False)
     fast = solve_linear(rows, b)
@@ -300,12 +334,10 @@ def test_modular_route_matches_reference_infeasible():
     assert fast.certificate == slow.certificate
 
 
-def test_modular_route_with_fractional_entries():
-    # 91 x 110 is just above the threshold, so solve_linear takes the
-    # modular route
+def test_modular_route_with_fractional_entries(monkeypatch):
+    _forbid_exact_route(monkeypatch)
     rng = random.Random(208)
     m, n = 91, 110
-    assert m * (n + 1) >= _MODULAR_THRESHOLD
     rows = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
             for _ in range(m)]
     x0 = [F(rng.randint(-5, 5)) for _ in range(n)]
@@ -315,11 +347,10 @@ def test_modular_route_with_fractional_entries():
 
 
 def test_modular_route_itself_with_fractional_entries():
-    # 20 x 500 is above the threshold; call the modular route directly so a
-    # silent fall back to the reference route cannot pass for it
+    # call the modular route directly so a silent fall back to the exact
+    # route cannot pass for it
     rng = random.Random(209)
     m, n = 20, 500
-    assert m * (n + 1) >= _MODULAR_THRESHOLD
     rows = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
             for _ in range(m)]
     x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]

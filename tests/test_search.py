@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from _modules import reference_constraints
+from peterweyl import search as search_module
 from peterweyl.errors import (
     InternalError,
     PreconditionError,
@@ -34,9 +35,8 @@ from peterweyl.search import (
     assemble_constraints,
     full_verify,
     search,
-    _constraints,
     _symbolic_transfer_determinant,
-    _violates_fast,
+    _violates,
 )
 from peterweyl.transfer import (
     bicharacter_r,
@@ -153,6 +153,12 @@ def _random_point(rng, grp):
             for _ in range(len(a_basis(grp)))]
 
 
+def _as_pairs(point):
+    """(numerator, denominator) pairs; a non-rational coordinate is (x, 1)."""
+    return [(x.numerator, x.denominator) if isinstance(x, F) else (x, 1)
+            for x in point]
+
+
 def test_fast_filter_agrees_with_the_system():
     # the filter must reject a point exactly when the system fails there;
     # cases are (group, point, expected verdict or None)
@@ -182,8 +188,7 @@ def test_fast_filter_agrees_with_the_system():
     seen = set()
     for grp, pt, expected in cases:
         satisfied = assemble_constraints(grp).satisfied_by(pt)
-        assert _violates_fast(pt, grp.table, _constraints(grp)[1]) == (
-            not satisfied)
+        assert _violates(grp, _as_pairs(pt)) == (not satisfied)
         assert expected in (None, satisfied)
         seen.add(satisfied)
     assert seen == {True, False}
@@ -320,6 +325,21 @@ def test_random_sampling_on_the_eight_element_dihedral_group():
     assert out.survivors == 0
     assert out.candidates == ()
     assert out.samples == 2000
+
+
+def test_random_sampling_without_survivors_builds_no_polynomial_system():
+    assemble_constraints.cache_clear()
+    out = search(dihedral(4), "random_sampling", count=200, seed=11)
+    assert out.survivors == 0
+    assert assemble_constraints.cache_info().currsize == 0
+
+
+def test_a_survivor_the_system_rejects_is_an_internal_error(monkeypatch):
+    # force the filter to pass every draw: the first one is no solution
+    monkeypatch.setattr(search_module, "_violates", lambda group, point: False)
+    with pytest.raises(InternalError,
+                       match="fast filter and polynomial system disagree"):
+        search(dihedral(4), "random_sampling", count=1, seed=11)
 
 
 def test_random_sampling_is_deterministic_in_the_seed():
