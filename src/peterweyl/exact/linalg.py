@@ -7,8 +7,9 @@ the scalar type of the system, and each yields either the particular
 solution or an infeasibility certificate:
 
 * a modular route for every system whose entries are all ``Fraction``:
-  elimination modulo a fixed, deterministic list of 31-bit primes, Chinese
-  remaindering, rational reconstruction, and then a mandatory exact
+  forward elimination modulo each prime of a fixed, deterministic list of
+  31-bit primes, then the one row or column the candidate needs, Chinese
+  remaindering, rational reconstruction, and a mandatory exact
   verification of the candidate (solution or infeasibility certificate);
 * an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
   the modular one: field Gauss-Jordan elimination with the first-nonzero
@@ -398,12 +399,14 @@ def _crt_pair(r1, m1, r2, m2):
     return r1 + m1 * t, m1 * m2
 
 
-def _modp_rref(M: np.ndarray, p: int):
-    """In-place full RREF of int64 matrix mod p; returns pivot column list.
+def _modp_echelon(M: np.ndarray, p: int):
+    """In-place forward elimination of int64 matrix mod p; returns pivots.
 
-    Every row from the pivot row down is zero left of the pivot column, so
-    scaling the pivot row and clearing the column only touch the columns
-    from the pivot on.
+    The first-nonzero pivot rule, with each pivot row scaled to 1 and only
+    the rows below it cleared, from the pivot column on (they are zero left
+    of it).  Those rows change exactly as in Gauss-Jordan, so the pivots
+    and the row order are those of the RREF; ``_modp_read`` reads the one
+    vector of the RREF that a candidate needs.
     """
     m, n = M.shape
     r = 0
@@ -411,23 +414,50 @@ def _modp_rref(M: np.ndarray, p: int):
     for c in range(n):
         if r == m:
             break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = r + np.nonzero(M[r:, c])[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(nz[0])
         if i != r:
+            # the row moved to i is zero in column c, so nz[1:] stays the
+            # rows below r that are nonzero there
             M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = (M[r, c:] * inv) % p
-        colv = M[:, c].copy()
-        colv[r] = 0
-        nzr = np.nonzero(colv)[0]
-        if nzr.size:
-            M[nzr, c:] = (M[nzr, c:] - np.outer(colv[nzr], M[r, c:])) % p
+        prow = M[r, c:]
+        prow *= pow(int(prow[0]), p - 2, p)
+        prow %= p
+        below = nz[1:]
+        if below.size:
+            M[below, c:] = (M[below, c:] - np.outer(M[below, c], prow)) % p
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _modp_read(E: np.ndarray, p: int, pivots, n: int):
+    """From the echelon form of (A | b | I) mod p, the RREF entries that the
+    candidate reads, as a list.
+
+    Rows whose pivots lie in the tracking block (past column n) are zero in
+    columns 0..n.  If b's column n is a pivot, the result is the tracking
+    block of its row, reduced in ascending order by the rows below it:
+    that clears every later pivot and leaves the earlier ones zero, so it
+    is the RREF row.  Otherwise it is the solution column at the A-pivot
+    rows, by back-substitution over their unit upper triangle.
+    """
+    k = sum(c <= n for c in pivots)
+    if k and pivots[k - 1] == n:
+        y = E[k - 1, n + 1:].copy()
+        for j in range(k, len(pivots)):
+            c = pivots[j] - n - 1
+            f = y[c]
+            if f:
+                y[c:] = (y[c:] - f * E[j, pivots[j]:]) % p
+        return y.tolist()
+    x = E[:k, n].copy()
+    for i in range(k - 1, 0, -1):
+        if x[i]:
+            x[:i] = (x[:i] - E[:i, pivots[i]] * x[i]) % p
+    return x.tolist()
 
 
 def _clear_denominators(values):
@@ -448,21 +478,22 @@ def _solve_modular(rows, b):
         row, L = _clear_denominators((*r, bi))
         int_rows.append(row)
         scales.append(L)
-    max_abs = max(max(map(abs, row)) for row in int_rows)
-    small = max_abs < 2**62
-    base = np.array(int_rows, dtype=np.int64) if small else None
+    try:
+        base = np.array(int_rows, dtype=np.int64)
+    except OverflowError:
+        base = None
 
-    used = []  # (p, tracked RREF mod p) for the primes that agree
+    used = []  # (p, the entries _assemble_modular reads, mod p)
     structure = None
     tries_at = 1  # agreeing primes needed for the next candidate
     for p in _primes31():
-        if small:
+        if base is not None:
             Ab = base % p
         else:
             Ab = np.array([[x % p for x in row] for row in int_rows],
                           dtype=np.int64)
         track = np.concatenate([Ab, np.eye(m, dtype=np.int64)], axis=1)
-        piv = _modp_rref(track, p)
+        piv = _modp_echelon(track, p)
         st = tuple(c for c in piv if c <= n)
         if structure is None or len(st) > len(structure):
             # rank can only drop modulo a bad prime, so the structure with
@@ -472,7 +503,7 @@ def _solve_modular(rows, b):
         elif st != structure:
             # primes showing another structure are discarded as bad
             continue
-        used.append((p, track))
+        used.append((p, _modp_read(track, p, piv, n)))
         if len(used) < tries_at:
             continue
         result = _assemble_modular(int_rows, scales, used, structure, n, m)
@@ -482,11 +513,11 @@ def _solve_modular(rows, b):
     return None
 
 
-def _combine(used, entry_getter):
-    """CRT-combine one entry across primes, then reconstruct a Fraction."""
+def _combine(used, k):
+    """CRT-combine entry k across primes, then reconstruct a Fraction."""
     r_acc, m_acc = 0, 1
-    for p, track in used:
-        r_acc, m_acc = _crt_pair(r_acc, m_acc, int(entry_getter(track)) % p, p)
+    for p, t in used:
+        r_acc, m_acc = _crt_pair(r_acc, m_acc, t[k], p)
     return _rat_reconstruct(r_acc, m_acc)
 
 
@@ -500,10 +531,9 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
     """
     if structure and structure[-1] == n:
         # infeasibility candidate: certificate from the tracking block
-        row_idx = len(structure) - 1
         y = []
         for k in range(m):
-            val = _combine(used, lambda t, k=k: t[row_idx, n + 1 + k])
+            val = _combine(used, k)
             if val is None:
                 return None
             y.append(val)
@@ -519,7 +549,7 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
         return Infeasible([yk * L / d for yk, L in zip(y, scales)])
     x = [_F0] * n
     for i, c in enumerate(structure):
-        val = _combine(used, lambda t, i=i: t[i, n])
+        val = _combine(used, i)
         if val is None:
             return None
         x[c] = val

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from peterweyl.exact.linalg import (
     Matrix,
     Subspace,
     _dot,
-    _modp_rref,
+    _modp_echelon,
+    _modp_read,
     _primes31,
     _rat_reconstruct,
     _solve_exact,
@@ -294,7 +296,12 @@ def test_small_rational_systems_take_the_modular_route(monkeypatch):
     rng = random.Random(211)
     systems = [([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(2)]),
                ([[F(1, 2), F(1)], [F(1), F(2)]], [F(1), F(3)]),
-               ([[F(0), F(0)]], [F(0)])]
+               ([[F(0), F(0)]], [F(0)]),
+               # integer rows past int64, reduced modulo p one by one
+               ([[F(2**70), F(1)], [F(1), F(0)]], [F(3), F(2**64)]),
+               ([[F(2**63 - 1), F(1, 3)], [F(2**64 - 2), F(2, 3)]],
+                [F(1), F(3)]),
+               ([[F(2**62 + 1)]], [F(1)])]
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         systems.append(([[rand_frac(rng, 6) for _ in range(n)]
@@ -368,12 +375,12 @@ def _pivot_counts(monkeypatch):
     counts = []
 
     def counting(M, p):
-        pivots = _modp_rref(M, p)
+        pivots = _modp_echelon(M, p)
         tracked_from = M.shape[1] - M.shape[0]
         counts.append(sum(c < tracked_from for c in pivots))
         return pivots
 
-    monkeypatch.setattr(linalg, "_modp_rref", counting)
+    monkeypatch.setattr(linalg, "_modp_echelon", counting)
     return counts
 
 
@@ -475,13 +482,41 @@ def _modp_matrices(draw):
     return np.array([rows[i] for i in order], dtype=np.int64), p
 
 
-@given(_modp_matrices())
-def test_modp_rref_matches_full_width_elimination(mp):
-    M, p = mp
+@st.composite
+def _tracked_modp_systems(draw):
+    """(A | b | I) mod p for A from ``_modp_matrices``, and whether A x = b
+    is solvable: b is A x, and an unsolvable system also gets a copy of one
+    row of (A | b) with b shifted, at a random position."""
+    A, p = draw(_modp_matrices())
+    rows = [list(map(int, r)) for r in A]
+    x = draw(st.lists(st.integers(0, p - 1), min_size=A.shape[1],
+                      max_size=A.shape[1]))
+    rows = [r + [sum(map(mul, r, x)) % p] for r in rows]
+    feasible = draw(st.booleans())
+    if not feasible:
+        i = draw(st.integers(0, len(rows) - 1))
+        extra = rows[i][:-1] + [(rows[i][-1] + draw(st.integers(1, p - 1))) % p]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    m = len(rows)
+    track = [r + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
+    return np.array(track, dtype=np.int64), p, A.shape[1], feasible
+
+
+@given(_tracked_modp_systems())
+def test_modp_rref_matches_full_width_elimination(system):
+    # forward elimination finds the pivots of the full RREF, and the vector
+    # read off it is the RREF's certificate row or solution column
+    M, p, n, feasible = system
     expect = M.copy()
     expect_pivots = _oracle_modp_rref(expect, p)
-    assert _modp_rref(M, p) == expect_pivots
-    assert np.array_equal(M, expect)
+    pivots = _modp_echelon(M, p)
+    assert pivots == expect_pivots
+    k = sum(c <= n for c in pivots)
+    assert (n not in pivots) == feasible
+    if feasible:
+        assert _modp_read(M, p, pivots, n) == expect[:k, n].tolist()
+    else:
+        assert _modp_read(M, p, pivots, n) == expect[k - 1, n + 1:].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -353,14 +353,14 @@ def test_s3_family_certificate_is_pinned():
 def test_s3_family_system_is_eliminated_modulo_one_prime(monkeypatch):
     # the certificate's entries are small integers, so the candidate tried
     # after the first prime already verifies
-    modp_rref = linalg._modp_rref
+    modp_echelon = linalg._modp_echelon
     primes = []
 
     def recording(M, p):
         primes.append(p)
-        return modp_rref(M, p)
+        return modp_echelon(M, p)
 
-    monkeypatch.setattr(linalg, "_modp_rref", recording)
+    monkeypatch.setattr(linalg, "_modp_echelon", recording)
     assert isinstance(solve_t(s3_family(F(3, 2), F(-7, 3))), Infeasible)
     assert primes == [linalg._primes31()[0]]
 
