@@ -9,12 +9,16 @@ inside one of them (no floating point anywhere):
   power basis 1, zeta, ..., zeta^(d-1) of the n-th cyclotomic polynomial
   (d = deg Phi_n), with no subfield arithmetic;
 * ``RatFun``: the rational function field Q(v) in a single variable v,
-  stored as a coprime numerator/denominator pair with monic denominator.
-  Normalisation takes one of two routes.  A denominator c*v^k (nearly
+  stored as one pair (N, D) of integer polynomials, coprime in Q[v], with
+  content 1 over both together and lead(D) > 0: a normal form, so its
+  arithmetic runs over Python ints and equality compares tuples.
+  Normalisation takes one of two routes.  A denominator d*v^k (nearly
   every value the quantized enveloping algebra produces) shares at most a
-  power of v with the numerator, which is cancelled directly; any other
-  denominator is reduced by a gcd computed over Z[v] with primitive
-  pseudo-remainders.  Both routes give the same normal form.
+  power of v with the numerator, which is stripped before the content is
+  divided out, with no polynomial gcd; any other pair is divided exactly
+  over Z by its primitive gcd over Z[v], computed with primitive
+  pseudo-remainders.  Both routes give the same normal form, which
+  ``num`` and ``den`` show as Fractions over a monic denominator.
 
 One rule mixes the variants, and ``promote_like`` is the one place it is
 written: an int, a Fraction or a rational-valued element of either
@@ -118,30 +122,54 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(r)
 
 
-def _primitive(cs):
-    """Coprime integer coefficients proportional to the nonzero polynomial cs."""
-    scale = 1
-    for c in cs:
-        scale = lcm(scale, c.denominator)
-    ints = [c.numerator * (scale // c.denominator) for c in cs]
-    content = gcd(*ints)
-    return [c // content for c in ints]
+def _pxgcd(a, b):
+    """Extended gcd: returns (g, u, w) with u*a + w*b = g, g monic."""
+    r0, r1 = _ptrim(a), _ptrim(b)
+    u0, u1 = (_F1,), (_F0,)
+    w0, w1 = (_F0,), (_F1,)
+    while _pdeg(r1) >= 0:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _psub(u0, _pmul(q, u1))
+        w0, w1 = w1, _psub(w0, _pmul(q, w1))
+    if _pdeg(r0) >= 0 and r0[-1] != 1:
+        s = 1 / r0[-1]
+        r0, u0, w0 = _pscale(r0, s), _pscale(u0, s), _pscale(w0, s)
+    return r0, u0, w0
 
 
-def _pgcd(a, b):
-    """Monic gcd over Q of two polynomials, not both zero.
+# ---------------------------------------------------------------------------
+# dense univariate polynomial helpers over Z (ascending int coefficients)
+# ---------------------------------------------------------------------------
 
-    Euclid runs over Z[v] on primitive polynomials: each step takes a
+def _imul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _iprimitive(cs):
+    content = gcd(*cs)
+    return [c // content for c in cs]
+
+
+def _igcd(a, b):
+    """Primitive gcd over Z[v] of two trimmed polynomials, not both zero.
+
+    Euclid runs on primitive polynomials: each step takes a
     pseudo-remainder, scaling by the divisor's leading coefficient only
     when a quotient term would not be an integer, and keeps its primitive
     part, which keeps the coefficients small.
     """
-    a, b = _ptrim(a), _ptrim(b)
-    if _pdeg(b) > _pdeg(a):
+    if len(b) > len(a):
         a, b = b, a
-    if _pdeg(b) < 0:
-        return tuple(c / a[-1] for c in a)
-    a, b = _primitive(a), _primitive(b)
+    if not (a[-1] and b[-1]):
+        return _iprimitive(a if a[-1] else b)
+    a, b = _iprimitive(a), _iprimitive(b)
     while len(b) > 1:
         r, lb, db = a, b[-1], len(b) - 1
         while len(r) > db:
@@ -157,25 +185,21 @@ def _pgcd(a, b):
             while r and not r[-1]:
                 r.pop()
         if not r:
-            return tuple(Fraction(c, lb) for c in b)
-        a, b = b, _primitive(r)
-    return (_F1,)
+            return b
+        a, b = b, _iprimitive(r)
+    return [1]
 
 
-def _pxgcd(a, b):
-    """Extended gcd: returns (g, u, w) with u*a + w*b = g, g monic."""
-    r0, r1 = _ptrim(a), _ptrim(b)
-    u0, u1 = (_F1,), (_F0,)
-    w0, w1 = (_F0,), (_F1,)
-    while _pdeg(r1) >= 0:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-        w0, w1 = w1, _psub(w0, _pmul(q, w1))
-    if _pdeg(r0) >= 0 and r0[-1] != 1:
-        s = 1 / r0[-1]
-        r0, u0, w0 = _pscale(r0, s), _pscale(u0, s), _pscale(w0, s)
-    return r0, u0, w0
+def _iexquo(a, b):
+    """a / b over Z[v], for a primitive b that divides a."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] // lb
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -358,40 +382,63 @@ class Cyclotomic(_Extension):
 
 
 class RatFun(_Extension):
-    """An element of Q(v): numerator/denominator, coprime, monic denominator.
+    """An element N/D of Q(v), stored as integer coefficient tuples (N, D).
 
-    A denominator c*v^k (a Laurent polynomial, the usual case) shares only
-    a power of v with the numerator, so normalising it strips that power
-    and divides by c without a gcd.  Any other denominator is reduced by
-    the gcd over Z[v] (``_pgcd``).
+    N and D are coprime in Q[v], all their coefficients together have
+    content 1 and lead(D) > 0.  The constructor takes sequences of int
+    or Fraction coefficients and clears the denominators with one lcm.
+    A denominator d*v^k (a Laurent polynomial, the usual case) then loses
+    the power of v it shares with N, and any other pair is divided by its
+    primitive gcd over Z[v] (``_igcd``); dividing out the content
+    finishes both routes.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     _variant = (2, 0)
 
     def __init__(self, num, den=(1,)):
-        num, den = _fractions(num), _fractions(den)
-        if _pdeg(den) < 0:
+        try:
+            n = list(map(operator.index, num))
+            d = list(map(operator.index, den))
+        except TypeError:
+            num, den = _fractions(num), _fractions(den)
+            scale = lcm(*(c.denominator for c in num + den))
+            n = [c.numerator * (scale // c.denominator) for c in num]
+            d = [c.numerator * (scale // c.denominator) for c in den]
+        while d and not d[-1]:
+            d.pop()
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if _pdeg(num) < 0:
-            num, den = (_F0,), (_F1,)
-        elif not any(den[:-1]):
-            j, k, lc = 0, len(den) - 1, den[-1]
-            while j < k and not num[j]:
+        while n and not n[-1]:
+            n.pop()
+        if not n:
+            n, d = [0], [1]
+        elif d.count(0) == len(d) - 1:
+            j, k = 0, len(d) - 1
+            while j < k and not n[j]:
                 j += 1
-            num = num[j:] if lc == 1 else tuple(c / lc for c in num[j:])
-            den = (_F0,) * (k - j) + (_F1,)
+            if j:
+                n, d = n[j:], d[j:]
         else:
-            g = _pgcd(num, den)
-            if _pdeg(g) > 0:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-            lc = den[-1]
-            if lc != 1:
-                num, den = _pscale(num, 1 / lc), _pscale(den, 1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            g = _igcd(n, d)
+            if len(g) > 1:
+                n, d = _iexquo(n, g), _iexquo(d, g)
+        c = gcd(*n, *d)
+        if d[-1] < 0:
+            c = -c
+        if c != 1:
+            n, d = [x // c for x in n], [x // c for x in d]
+        object.__setattr__(self, "_n", tuple(n))
+        object.__setattr__(self, "_d", tuple(d))
+
+    @staticmethod
+    def _pair(n: tuple, d: tuple) -> "RatFun":
+        """The RatFun of a pair that is already in normal form."""
+        x = object.__new__(RatFun)
+        object.__setattr__(x, "_n", n)
+        object.__setattr__(x, "_d", d)
+        return x
 
     @staticmethod
     def gen() -> "RatFun":
@@ -399,57 +446,75 @@ class RatFun(_Extension):
 
     @staticmethod
     def of(value) -> "RatFun":
-        return RatFun((value,))
+        p, q = value.as_integer_ratio()
+        return RatFun._pair((p,), (q,))
+
+    @property
+    def num(self) -> tuple:
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        lc = self._d[-1]
+        return tuple(Fraction(c, lc) for c in self._d)
 
     def _key(self):
         return (self.num, self.den)
 
     def _constant(self):
-        if len(self.num) == 1 and len(self.den) == 1:
-            return self.num[0]
+        if len(self._n) == 1 and len(self._d) == 1:
+            return Fraction(self._n[0], self._d[0])
         return None
 
     def __bool__(self):
-        return _pdeg(self.num) >= 0
+        return bool(self._n[-1])
+
+    def __eq__(self, other):
+        if type(other) is RatFun:
+            return self._n == other._n and self._d == other._d
+        return _Extension.__eq__(self, other)
+
+    __hash__ = _Extension.__hash__
 
     # RatFun is immutable, so an operand can be returned as the result.
 
     def __add__(self, other):
         if type(other) is not RatFun:
             return _common(operator.add, self, other)
-        if not other:
+        a, b, c, d = self._n, self._d, other._n, other._d
+        if not c[-1]:
             return self
-        if not self:
+        if not a[-1]:
             return other
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFun(num, _pmul(self.den, other.den))
+        if b == d:
+            return RatFun(_padd(a, c), b)
+        return RatFun(_padd(_imul(a, d), _imul(c, b)), _imul(b, d))
 
     def __neg__(self):
-        return RatFun(_pneg(self.num), self.den)
+        return RatFun._pair(tuple(-c for c in self._n), self._d)
 
     def __sub__(self, other):
         if type(other) is not RatFun:
             return _common(operator.sub, self, other)
-        if not other:
-            return self
-        if not self:
-            return -other
-        num = _psub(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFun(num, _pmul(self.den, other.den))
+        return self + -other
 
     def __mul__(self, other):
         if type(other) is not RatFun:
             return _common(operator.mul, self, other)
-        if not self:
+        if not self._n[-1]:
             return self
-        if not other:
+        if not other._n[-1]:
             return other
-        return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return RatFun(_imul(self._n, other._n), _imul(self._d, other._d))
 
     def inverse(self) -> "RatFun":
-        if not self:
+        n, d = self._n, self._d
+        if not n[-1]:
             raise ZeroDivisionError("rational function division by zero")
-        return RatFun(self.den, self.num)
+        if n[-1] < 0:
+            return RatFun._pair(tuple(-c for c in d), tuple(-c for c in n))
+        return RatFun._pair(d, n)
 
 
 # v with q = v^2 is the convention used by the quantized enveloping algebra.
@@ -485,6 +550,12 @@ def promote_like(x, exemplar):
     rational-valued element of either extension goes into any variant,
     while a non-rational element goes only into its own field.
     """
+    if type(exemplar) is RatFun:
+        # the usual case in Q(v), decided before any conversion
+        if type(x) is RatFun:
+            return x
+        if isinstance(x, (int, Fraction)):
+            return RatFun.of(x)
     x, exemplar = as_scalar(x), as_scalar(exemplar)
     if _variant_of(x) == _variant_of(exemplar):
         return x

@@ -243,6 +243,29 @@ def test_uq_center_all_checks_small(tmp_path):
                              "commutant": True, "component": True}
 
 
+# sha256 of the artifact of the three `uq center` commands of the
+# benchmark's uq-center workload
+UQ_CENTER_ARTIFACTS = {
+    (1, "all"):
+        "4eea4820a0b0679e2f0bb06dcaacbfd96d106d69d3e89f9f8d79e7fbf06b4180",
+    (2, "all"):
+        "0c506024462d4b1186e4ee9a9886bbdf2918eee2d7c337054b933b9d821929ab",
+    (3, "central,component"):
+        "eb8da196c8cc1b88bcb55d12cb343ecd6de18d8b76b9888bfae1556e86b4abb9",
+}
+
+
+@pytest.mark.parametrize("n, checks", list(UQ_CENTER_ARTIFACTS),
+                         ids=["n%d" % n for n, _ in UQ_CENTER_ARTIFACTS])
+def test_uq_center_artifacts_are_pinned(tmp_path, n, checks):
+    out = tmp_path / "uq.json"
+    code = main(["uq", "center", "--n", str(n), "--check", checks,
+                 "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == UQ_CENTER_ARTIFACTS[n, checks]
+
+
 def test_uq_center_check_list_must_name_a_check(tmp_path, capsys):
     for checks in (",", " , ", ""):
         out = tmp_path / "none.json"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -19,9 +19,11 @@ from peterweyl.exact.scalars import (
     Cyclotomic,
     RatFun,
     _common,
+    _igcd,
+    _padd,
     _pdivmod,
-    _pgcd,
     _pmul,
+    _psub,
     _ptrim,
     _same_key,
     as_scalar,
@@ -249,20 +251,97 @@ def test_ratfun_zero_operands(parts):
     assert x - x == 0
 
 
+def _ppow(a, k):
+    out = (F(1),)
+    for _ in range(k):
+        out = _pmul(out, a)
+    return out
+
+
+@given(_ratfun_parts(), _ratfun_parts(), st.integers(-3, 3))
+def test_ratfun_arithmetic_matches_fraction_reference(p, q, k):
+    (a, b), (c, d) = p, q
+    x, y = RatFun(a, b), RatFun(c, d)
+    cases = [(x + y, _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d)),
+             (x - y, _psub(_pmul(a, d), _pmul(c, b)), _pmul(b, d)),
+             (x * y, _pmul(a, c), _pmul(b, d)),
+             (-x, tuple(-t for t in a), b)]
+    if y:
+        cases += [(x / y, _pmul(a, d), _pmul(b, c)), (y.inverse(), d, c)]
+    if k >= 0:
+        cases.append((x ** k, _ppow(a, k), _ppow(b, k)))
+    elif x:
+        cases.append((x ** k, _ppow(b, -k), _ppow(a, -k)))
+    for got, num, den in cases:
+        assert (got.num, got.den) == _ref_normal(num, den)
+        # the stored integer pair: content 1, positive leading denominator
+        assert all(type(t) is int for t in got._n + got._d)
+        assert gcd(*got._n, *got._d) == 1 and got._d[-1] > 0
+    assert (x == y) is (_ref_normal(a, b) == _ref_normal(c, d))
+
+
+@given(_ratfun_parts(), _ratfun_parts(), st.integers(-30, 30).filter(bool))
+def test_equal_ratfuns_compare_and_hash_equal(p, q, scale):
+    (a, b), (c, d) = p, q
+    x, y = RatFun(a, b), RatFun(c, d)
+    num, den = _pmul(a, c), _pmul(b, d)
+    scale *= lcm(*(t.denominator for t in num + den))
+    products = [x * y, y * x, RatFun(num, den),
+                RatFun([int(t * scale) for t in num],
+                       [int(t * scale) for t in den]),
+                scalar_from_str(scalar_to_str(x * y))]
+    if y:
+        products.append(x * y * y / y)
+    if x and y:
+        products.append((x.inverse() * y.inverse()).inverse())
+    for u in products:
+        for w in products:
+            assert u == w and hash(u) == hash(w)
+            assert scalar_to_str(u) == scalar_to_str(w)
+
+
+def test_rational_ratfuns_compare_and_hash_as_fractions():
+    c = F(3, 4)
+    for x in (RatFun.of(c), RatFun((3,), (4,)), RatFun((F(3, 2),), (2,)),
+              RatFun((0, 6), (0, 8)), RatFun((-3,), (-4,)),
+              scalar_from_str("[3/4]/[1/1]@v"), RatFun.of(3) / 4,
+              RatFun.gen() * c / RatFun.gen(), RatFun.of(F(4, 3)).inverse()):
+        assert x == c and c == x and hash(x) == hash(c)
+        assert x == RatFun.of(c) and hash(x) == hash(RatFun.of(c))
+        assert x._n == (3,) and x._d == (4,)
+
+
+# The primitive gcd over Z[v] (`_igcd`) is compared, made monic, against the
+# Euclid-over-Q reference; inputs with Fraction coefficients are first cleared
+# of their denominators, which changes the gcd only by a unit.
+
+def _int_poly(cs):
+    cs = _poly_of(cs)
+    scale = lcm(*(c.denominator for c in cs))
+    return [int(c * scale) for c in cs]
+
+
+def _monic_igcd(a, b):
+    g = _igcd(_int_poly(a), _int_poly(b))
+    assert gcd(*g) == 1
+    return tuple(F(c, g[-1]) for c in g)
+
+
 @given(_poly, _poly)
 def test_pgcd_matches_euclid_reference(a, b):
     if any(a) or any(b):
-        assert _pgcd(_poly_of(a), _poly_of(b)) == _ref_gcd(a, b)
+        assert _monic_igcd(a, b) == _ref_gcd(a, b)
 
 
 def test_pgcd_edge_cases():
     # content alone differs: 2v + 2 against 4v + 4
-    assert _pgcd((F(2), F(2)), (F(4), F(4))) == (F(1), F(1))
-    assert _pgcd((F(1, 2), F(1, 3)), (F(3), F(2))) == (F(3, 2), F(1))
-    assert _pgcd((F(3),), (F(1), F(0), F(1))) == (F(1),)
-    assert _pgcd((F(5),), (F(-2, 7),)) == (F(1),)
-    assert _pgcd((F(0),), (F(2), F(4))) == (F(1, 2), F(1))
-    assert _pgcd((F(-3), F(0), F(3)), (F(0),)) == (F(-1), F(0), F(1))
+    assert _monic_igcd((F(2), F(2)), (F(4), F(4))) == (F(1), F(1))
+    assert _monic_igcd((F(1, 2), F(1, 3)), (F(3), F(2))) == (F(3, 2), F(1))
+    assert _monic_igcd((F(3),), (F(1), F(0), F(1))) == (F(1),)
+    assert _monic_igcd((F(5),), (F(-2, 7),)) == (F(1),)
+    assert _monic_igcd((F(0),), (F(2), F(4))) == (F(1, 2), F(1))
+    assert _monic_igcd((F(-3), F(0), F(3)), (F(0),)) == (F(-1), F(0), F(1))
+    assert _monic_igcd((F(0),), (F(-5),)) == (F(1),)
 
 
 # ---------------------------------------------------------------------------
