@@ -33,13 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm
-from operator import add, itemgetter, mul
+from math import gcd, isqrt
+from operator import add, mul
 
 import numpy as np
 
 from ..errors import DimensionError, InternalError
-from .scalars import Frozen, as_scalar, unify
+from .scalars import Frozen, _clear, as_scalar, unify
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -460,13 +460,6 @@ def _modp_read(E: np.ndarray, p: int, pivots, n: int):
     return x.tolist()
 
 
-def _clear_denominators(values):
-    """The integers D v and D, for D the lcm of the denominators of v."""
-    ratios = [x.as_integer_ratio() for x in values]
-    D = lcm(*map(itemgetter(1), ratios))
-    return [num * (D // den) for num, den in ratios], D
-
-
 def _solve_modular(rows, b):
     """Deterministic modular solve with exact verification; None on failure."""
     m = len(rows)
@@ -475,7 +468,7 @@ def _solve_modular(rows, b):
     scales = []
     int_rows = []
     for r, bi in zip(rows, b):
-        row, L = _clear_denominators((*r, bi))
+        row, L = _clear((*r, bi))
         int_rows.append(row)
         scales.append(L)
     try:
@@ -537,7 +530,7 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
             if val is None:
                 return None
             y.append(val)
-        ys, D = _clear_denominators(y)
+        ys, D = _clear(y)
         acc = [0] * (n + 1)
         for yk, row in zip(ys, int_rows):
             if yk:
@@ -553,7 +546,7 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
         if val is None:
             return None
         x[c] = val
-    xs, D = _clear_denominators(x)
+    xs, D = _clear(x)
     xs.append(-D)
     for row in int_rows:
         if sum(map(mul, row, xs)):

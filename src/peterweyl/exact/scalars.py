@@ -5,20 +5,26 @@ inside one of them (no floating point anywhere):
 
 * rationals, represented by ``fractions.Fraction`` (lowest terms, positive
   denominator);
-* ``Cyclotomic``: elements of the cyclotomic field Q(zeta_n), stored on the
-  power basis 1, zeta, ..., zeta^(d-1) of the n-th cyclotomic polynomial
-  (d = deg Phi_n), with no subfield arithmetic;
+* ``Cyclotomic``: the cyclotomic field Q(zeta_n), each element c/q
+  stored as the normal form (n, c, q) on the power basis 1, zeta, ...,
+  zeta^(d-1) of Phi_n (d = deg Phi_n): d int coefficients c, q > 0 and
+  gcd(content(c), q) = 1, with no subfield arithmetic.  Phi_n is monic
+  over Z, so products reduce modulo it in integers, and an inverse is
+  taken by the norm, the product of the Galois conjugates;
 * ``RatFun``: the rational function field Q(v) in a single variable v,
   stored as one pair (N, D) of integer polynomials, coprime in Q[v], with
-  content 1 over both together and lead(D) > 0: a normal form, so its
-  arithmetic runs over Python ints and equality compares tuples.
-  Normalisation takes one of two routes.  A denominator d*v^k (nearly
-  every value the quantized enveloping algebra produces) shares at most a
-  power of v with the numerator, which is stripped before the content is
-  divided out, with no polynomial gcd; any other pair is divided exactly
-  over Z by its primitive gcd over Z[v], computed with primitive
-  pseudo-remainders.  Both routes give the same normal form, which
-  ``num`` and ``den`` show as Fractions over a monic denominator.
+  content 1 over both together and lead(D) > 0.  Normalisation takes one
+  of two routes.  A denominator d*v^k (nearly every value the quantized
+  enveloping algebra produces) shares at most a power of v with the
+  numerator, which is stripped before the content is divided out, with
+  no polynomial gcd; any other pair is divided exactly over Z by its
+  primitive gcd over Z[v], computed with primitive pseudo-remainders.
+
+Both extensions run on one dense integer polynomial kernel (``_imul``,
+``_padd``, ``_idivmod``, ``_igcd``) and clear denominators with
+``_clear``.  Their stored forms are normal forms, so equality within a
+field compares them; ``coeffs``, ``num`` and ``den`` show them as
+Fractions, over a monic denominator for ``RatFun``.
 
 One rule mixes the variants, and ``promote_like`` is the one place it is
 written: an int, a Fraction or a rational-valued element of either
@@ -44,27 +50,9 @@ from math import gcd, lcm
 
 from ..errors import ParseError, VariantError
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 # ---------------------------------------------------------------------------
-# dense univariate polynomial helpers over Fraction (ascending coefficients)
+# dense univariate polynomials over Z (ascending int coefficients)
 # ---------------------------------------------------------------------------
-
-def _ptrim(cs):
-    cs = list(cs)
-    while len(cs) > 1 and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _pdeg(cs):
-    # degree of the zero polynomial is -1
-    if len(cs) == 1 and cs[0] == 0:
-        return -1
-    return len(cs) - 1
-
 
 def _padd(a, b):
     if len(a) < len(b):
@@ -72,75 +60,8 @@ def _padd(a, b):
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _ptrim(out)
+    return out
 
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a, b):
-    if _pdeg(a) < 0 or _pdeg(b) < 0:
-        return (_F0,)
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _pscale(a, s):
-    if not s:
-        return (_F0,)
-    return _ptrim([c * s for c in a])
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of a by b; b must be nonzero."""
-    db = _pdeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    da = _pdeg(a)
-    if da < db:
-        return (_F0,), _ptrim(r)
-    q = [_F0] * (da - db + 1)
-    inv = 1 / b[-1]
-    for k in range(da - db, -1, -1):
-        coef = r[db + k] * inv
-        if coef:
-            q[k] = coef
-            for i, cb in enumerate(b):
-                r[i + k] -= coef * cb
-    return _ptrim(q), _ptrim(r)
-
-
-def _pxgcd(a, b):
-    """Extended gcd: returns (g, u, w) with u*a + w*b = g, g monic."""
-    r0, r1 = _ptrim(a), _ptrim(b)
-    u0, u1 = (_F1,), (_F0,)
-    w0, w1 = (_F0,), (_F1,)
-    while _pdeg(r1) >= 0:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-        w0, w1 = w1, _psub(w0, _pmul(q, w1))
-    if _pdeg(r0) >= 0 and r0[-1] != 1:
-        s = 1 / r0[-1]
-        r0, u0, w0 = _pscale(r0, s), _pscale(u0, s), _pscale(w0, s)
-    return r0, u0, w0
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomial helpers over Z (ascending int coefficients)
-# ---------------------------------------------------------------------------
 
 def _imul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -190,8 +111,13 @@ def _igcd(a, b):
     return [1]
 
 
-def _iexquo(a, b):
-    """a / b over Z[v], for a primitive b that divides a."""
+def _idivmod(a, b):
+    """Quotient and remainder of a by a trimmed b over Z[v].
+
+    The leading coefficient of b must divide every quotient term: b is
+    monic, or b is primitive and divides a.  a has at least len(b) - 1
+    coefficients, and the remainder has exactly len(b) - 1.
+    """
     r, lb, db = list(a), b[-1], len(b) - 1
     q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
@@ -199,7 +125,14 @@ def _iexquo(a, b):
         if c:
             for i in range(db):
                 r[k + i] -= c * b[i]
-    return q
+    return q, r[:db]
+
+
+def _clear(values):
+    """The integers D*x for x in values, and D, the lcm of their denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    D = lcm(*(den for _, den in ratios))
+    return [num * (D // den) for num, den in ratios], D
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +140,18 @@ def _iexquo(a, b):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, ascending, as Fractions."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, ascending, as ints."""
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
-    num = [_F0] * (n + 1)
-    num[0], num[n] = Fraction(-1), _F1
-    poly = _ptrim(num)
+    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, each division exact
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = _pdivmod(poly, cyclotomic_polynomial(d))
-            if _pdeg(r) >= 0:
+            poly, r = _idivmod(poly, cyclotomic_polynomial(d))
+            if any(r):
                 raise AssertionError("cyclotomic division must be exact")
-            poly = q
-    return poly
-
-
-def _fractions(cs):
-    return _ptrim([c if isinstance(c, Fraction) else Fraction(c) for c in cs])
-
-
-def _euler_phi(n: int) -> int:
-    return _pdeg(cyclotomic_polynomial(n))
+    return tuple(poly)
 
 
 class Frozen:
@@ -251,7 +173,9 @@ class _Extension(Frozen):
 
     A subclass gives +, -, * and ``inverse`` for two operands of its own
     field (any other pair goes through ``_common``), its field as
-    ``_variant``, its normal form as ``_key()`` and, through
+    ``_variant``, its stored normal form as ``_form()``, which equality
+    within the field compares, the Fraction view of that form as
+    ``_key()``, which hashing and mixed comparisons read, and, through
     ``_constant()``, the Fraction it equals or None.
     """
 
@@ -295,6 +219,8 @@ class _Extension(Frozen):
         return out
 
     def __eq__(self, other):
+        if type(other) is type(self) and other._variant == self._variant:
+            return self._form() == other._form()
         if isinstance(other, (int, Fraction)):
             # what _common would decide, without promoting other
             return self._constant() == other
@@ -317,68 +243,124 @@ def _same_key(a, b):
 
 
 class Cyclotomic(_Extension):
-    """An element of Q(zeta_n) on the power basis of Phi_n."""
+    """An element c/q of Q(zeta_n) on the power basis of Phi_n.
 
-    __slots__ = ("n", "coeffs")
+    It is stored as the normal form (n, c, q): c is a tuple of deg Phi_n
+    ints, q > 0 and gcd(content(c), q) = 1, so its arithmetic runs over
+    Python ints.  Phi_n is monic, so reduction modulo Phi_n stays in Z.
+    The inverse is taken by the norm: the product y of the conjugates
+    sigma_k(c), k a unit mod n other than 1, gives c*y = N(c), a nonzero
+    int, so (c/q)^-1 = q*y/N(c).  ``coeffs`` shows the form as Fractions.
+    """
+
+    __slots__ = ("n", "_c", "_q")
 
     def __init__(self, n: int, coeffs):
-        d = _euler_phi(n)
-        cs = _fractions(coeffs)
-        if len(cs) > d:
-            # reduce modulo Phi_n
-            _, cs = _pdivmod(cs, cyclotomic_polynomial(n))
+        self._fill(n, *_clear(coeffs))
+
+    @staticmethod
+    def _reduced(n: int, c, q: int) -> "Cyclotomic":
+        """The Cyclotomic c/q, for c ints on the powers of zeta_n, q != 0."""
+        x = object.__new__(Cyclotomic)
+        x._fill(n, c, q)
+        return x
+
+    def _fill(self, n, c, q):
+        phi = cyclotomic_polynomial(n)
+        d = len(phi) - 1
+        if len(c) > d:
+            c = _idivmod(c, phi)[1]
+        g = gcd(*c, q)
+        if q < 0:
+            g = -g
+        if g != 1:
+            c = [t // g for t in c]
+            q //= g
+        c = tuple(c)
+        if len(c) < d:
+            c += (0,) * (d - len(c))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", (cs + (_F0,) * d)[:d])
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_q", q)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "Cyclotomic":
         power %= n
-        coeffs = [_F0] * (power + 1)
-        coeffs[power] = _F1
-        return Cyclotomic(n, coeffs)
+        c = [0] * (power + 1)
+        c[power] = 1
+        return Cyclotomic._reduced(n, c, 1)
 
     @staticmethod
     def of(n: int, value) -> "Cyclotomic":
-        return Cyclotomic(n, (value,))
+        p, q = value.as_integer_ratio()
+        return Cyclotomic._reduced(n, [p], q)
+
+    @property
+    def coeffs(self) -> tuple:
+        q = self._q
+        return tuple(Fraction(t, q) for t in self._c)
 
     @property
     def _variant(self):
         return (1, self.n)
 
+    def _form(self):
+        return (self.n, self._c, self._q)
+
     def _key(self):
         return (self.n, self.coeffs)
 
     def _constant(self):
-        return None if any(self.coeffs[1:]) else self.coeffs[0]
+        c = self._c
+        return None if any(c[1:]) else Fraction(c[0], self._q)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._c)
+
+    def _plus(self, c, q):
+        # self + c/q for c on the same basis
+        a, p = self._c, self._q
+        if p == q:
+            return Cyclotomic._reduced(self.n, _padd(a, c), p)
+        return Cyclotomic._reduced(
+            self.n, [x * q + y * p for x, y in zip(a, c)], p * q)
 
     def __add__(self, other):
         if type(other) is not Cyclotomic or other.n != self.n:
             return _common(operator.add, self, other)
-        return Cyclotomic(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other._c, other._q)
 
     def __neg__(self):
-        return Cyclotomic(self.n, [-c for c in self.coeffs])
+        return Cyclotomic._reduced(self.n, [-t for t in self._c], self._q)
 
     def __sub__(self, other):
         if type(other) is not Cyclotomic or other.n != self.n:
             return _common(operator.sub, self, other)
-        return Cyclotomic(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus([-t for t in other._c], other._q)
 
     def __mul__(self, other):
         if type(other) is not Cyclotomic or other.n != self.n:
             return _common(operator.mul, self, other)
-        return Cyclotomic(self.n, _pmul(_ptrim(self.coeffs), _ptrim(other.coeffs)))
+        return Cyclotomic._reduced(self.n, _imul(self._c, other._c),
+                                   self._q * other._q)
 
     def inverse(self) -> "Cyclotomic":
-        if not self:
+        n, c = self.n, self._c
+        if not any(c):
             raise ZeroDivisionError("cyclotomic division by zero")
-        g, u, _ = _pxgcd(_ptrim(self.coeffs), cyclotomic_polynomial(self.n))
-        if _pdeg(g) != 0:
-            raise AssertionError("Phi_n must be irreducible over Q")
-        return Cyclotomic(self.n, _pscale(u, 1 / g[0]))
+        phi = cyclotomic_polynomial(n)
+        y = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                # sigma_k(c), on the powers 0 .. n-1 of zeta
+                s = [0] * n
+                for i, t in enumerate(c):
+                    s[i * k % n] += t
+                y = _idivmod(_imul(y, s), phi)[1]
+        norm = _idivmod(_imul(c, y), phi)[1]
+        if any(norm[1:]) or not norm[0]:
+            raise AssertionError("the norm must be a nonzero rational")
+        return Cyclotomic._reduced(n, [self._q * t for t in y], norm[0])
 
 
 class RatFun(_Extension):
@@ -402,10 +384,8 @@ class RatFun(_Extension):
             n = list(map(operator.index, num))
             d = list(map(operator.index, den))
         except TypeError:
-            num, den = _fractions(num), _fractions(den)
-            scale = lcm(*(c.denominator for c in num + den))
-            n = [c.numerator * (scale // c.denominator) for c in num]
-            d = [c.numerator * (scale // c.denominator) for c in den]
+            cs, _ = _clear((*num, *den))
+            n, d = cs[:len(num)], cs[len(num):]
         while d and not d[-1]:
             d.pop()
         if not d:
@@ -423,7 +403,7 @@ class RatFun(_Extension):
         else:
             g = _igcd(n, d)
             if len(g) > 1:
-                n, d = _iexquo(n, g), _iexquo(d, g)
+                n, d = _idivmod(n, g)[0], _idivmod(d, g)[0]
         c = gcd(*n, *d)
         if d[-1] < 0:
             c = -c
@@ -470,12 +450,8 @@ class RatFun(_Extension):
     def __bool__(self):
         return bool(self._n[-1])
 
-    def __eq__(self, other):
-        if type(other) is RatFun:
-            return self._n == other._n and self._d == other._d
-        return _Extension.__eq__(self, other)
-
-    __hash__ = _Extension.__hash__
+    def _form(self):
+        return (self._n, self._d)
 
     # RatFun is immutable, so an operand can be returned as the result.
 

@@ -20,11 +20,6 @@ from peterweyl.exact.scalars import (
     RatFun,
     _common,
     _igcd,
-    _padd,
-    _pdivmod,
-    _pmul,
-    _psub,
-    _ptrim,
     _same_key,
     as_scalar,
     collect,
@@ -188,10 +183,50 @@ def test_ratfun_difference_of_squares():
 # RatFun normal form against a Euclid-over-Fraction reference
 # ---------------------------------------------------------------------------
 #
-# The reference is the textbook route, built from the Fraction polynomial
-# helpers that Cyclotomic uses: Euclid's algorithm over Q, exact division
-# by the monic gcd, then a monic denominator.  Shared factors are
+# The reference is the textbook route over Fraction coefficients, with its
+# own dense polynomial helpers below: Euclid's algorithm over Q, exact
+# division by the monic gcd, then a monic denominator.  Shared factors are
 # multiplied in on purpose so that the gcd is rarely trivial.
+
+def _ptrim(cs):
+    cs = list(cs)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _ptrim(out)
+
+
+def _psub(a, b):
+    return _padd(a, tuple(-c for c in b))
+
+
+def _pmul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ptrim(out)
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder of a by a nonzero b over Q."""
+    a, b = _ptrim(a), _ptrim(b)
+    r = list(a)
+    q = [F(0)] * max(len(a) - len(b) + 1, 1)
+    for k in range(len(a) - len(b), -1, -1):
+        coef = q[k] = r[k + len(b) - 1] / b[-1]
+        for i, cb in enumerate(b):
+            r[i + k] -= coef * cb
+    return _ptrim(q), _ptrim(r)
+
 
 def _poly_of(cs):
     return _ptrim([Fraction(c) for c in cs])
@@ -687,6 +722,82 @@ def test_cyclotomic_string_round_trip(x):
     assert back == x and hash(back) == hash(x)
     assert back.n == x.n and back.coeffs == x.coeffs
     assert scalar_to_str(back) == text
+
+
+# Cyclotomic arithmetic against the Fraction reference: the product over Q
+# of the raw coefficient lists, reduced by `_reduce_by_phi`.  A quotient
+# or an inverse is checked through its product with the divisor, so the
+# reference needs no inverse of its own.
+
+_ARITH_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+_sparse_small = st.one_of(st.just(F(0)), _small)
+
+
+@st.composite
+def _cyclotomic_operands(draw):
+    n = draw(st.sampled_from(_ARITH_ORDERS))
+    d = len(cyclotomic_polynomial(n)) - 1
+    coeffs = st.lists(_sparse_small, min_size=1, max_size=d + 2)
+    return n, draw(coeffs), draw(coeffs)
+
+
+def _assert_stored_form(x):
+    # the stored triple (n, c, q): ints, q > 0, gcd(content(c), q) = 1
+    c, q = x._c, x._q
+    assert len(c) == len(x.coeffs)
+    assert all(type(t) is int for t in c) and type(q) is int
+    assert q > 0 and gcd(*c, q) == 1
+    assert x.coeffs == tuple(F(t, q) for t in c)
+
+
+@given(_cyclotomic_operands(), st.integers(-3, 3))
+def test_cyclotomic_arithmetic_matches_fraction_reference(parts, k):
+    n, a, b = parts
+    x, y = Cyclotomic(n, a), Cyclotomic(n, b)
+
+    def ref(cs):
+        return _reduce_by_phi(n, cs)
+
+    one, j = ref((1,)), abs(k)
+    cases = [(x + y, ref(_padd(a, b))), (x - y, ref(_psub(a, b))),
+             (x * y, ref(_pmul(a, b))), (-x, ref([-t for t in a])),
+             (x ** j, ref(_ppow(a, j)))]
+    if y:
+        q, inv = x / y, y.inverse()
+        cases += [(q, None), (inv, None)]
+        assert ref(_pmul(q.coeffs, b)) == ref(a)
+        assert ref(_pmul(inv.coeffs, b)) == one
+    if x:
+        cases.append((x ** -j, None))
+        assert ref(_pmul((x ** -j).coeffs, _ppow(a, j))) == one
+        assert x * x.inverse() == 1
+    for got, expect in cases:
+        assert got.n == n
+        assert all(type(t) is Fraction for t in got.coeffs)
+        if expect is not None:
+            assert got.coeffs == expect
+        _assert_stored_form(got)
+
+
+@given(_cyclotomic_operands(), st.integers(-30, 30).filter(bool))
+def test_equal_cyclotomics_compare_hash_and_print_equal(parts, scale):
+    n, a, b = parts
+    x, y = Cyclotomic(n, a), Cyclotomic(n, b)
+    product = _pmul(_ptrim(a), _ptrim(b))
+    scale *= lcm(*(t.denominator for t in product))
+    values = [x * y, y * x, Cyclotomic(n, product),
+              Cyclotomic(n, [int(t * scale) for t in product]) / scale,
+              scalar_from_str(scalar_to_str(x * y))]
+    if y:
+        values.append(x * y * y / y)
+    if x and y:
+        values.append((x.inverse() * y.inverse()).inverse())
+    for u in values:
+        _assert_stored_form(u)
+        for w in values:
+            assert u == w and hash(u) == hash(w)
+            assert scalar_to_str(u) == scalar_to_str(w)
+            assert (u._c, u._q) == (w._c, w._q)
 
 
 # ---------------------------------------------------------------------------

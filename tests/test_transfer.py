@@ -380,6 +380,14 @@ def _bicharacter_candidate(grp):
                     AlgebraElement.one(grp))
 
 
+# the T of each bicharacter, a cyclotomic answer, pinned as the Z2xZ2 one is
+_BICHARACTER_T_SHA256 = {
+    "Z7": "748dcc118a438e8f44116f9dc2435f6efd120349f894a6d1a3ac2293aecd4999",
+    "Z3xZ3":
+        "a9d6727021e5bcb70521d73b039e6a87ab229059d1ca3858a507c0fb6c8d6654",
+}
+
+
 @pytest.mark.parametrize("token", ["Z7", "Z3xZ3"])
 def test_larger_bicharacters_have_a_factorization_tensor(token):
     t0 = time.monotonic()
@@ -389,6 +397,8 @@ def test_larger_bicharacters_have_a_factorization_tensor(token):
     assert check_t(cand, t4)
     # the runtime budget of acceptance criterion 02
     assert time.monotonic() - t0 < 60
+    terms = sorted((k, str(v)) for k, v in t4.terms.items())
+    assert _sha256(repr(terms)) == _BICHARACTER_T_SHA256[token]
 
 
 def test_solve_t_keeps_only_the_distinct_columns(monkeypatch):
