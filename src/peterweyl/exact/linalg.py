@@ -6,24 +6,26 @@ Everything is computed exactly; there is no numeric tolerance anywhere.
 the scalar type of the system, and each yields either the particular
 solution or an infeasibility certificate:
 
-* a modular route for every system whose entries are all ``Fraction``:
-  forward elimination modulo each prime of a fixed, deterministic list of
-  31-bit primes, then the one row or column the candidate needs, Chinese
-  remaindering, rational reconstruction, and a mandatory exact
-  verification of the candidate (solution or infeasibility certificate);
+* a modular route for every system whose entries are all ``Fraction``,
+  and for an int64 ``numpy`` array A with int b: forward elimination
+  modulo each prime of a fixed, deterministic list of 31-bit primes, then
+  the one row or column the candidate needs, Chinese remaindering,
+  rational reconstruction, and a mandatory exact verification of the
+  candidate (solution or infeasibility certificate);
 * an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
   the modular one: field Gauss-Jordan elimination with the first-nonzero
   pivot rule.
 
 A system whose entries are all ``Fraction`` already has its common variant,
 so only other mixes go through ``unify``.  The modular route clears each
-row's denominators in one pass, tries a candidate after the first prime,
-and after each failed try doubles the number of agreeing primes before the
-next one (1, 2, 4, ...), so a system whose answer has small entries is
-solved modulo one prime.  It can never return a wrong answer: every
-candidate is checked with exact integer arithmetic against the integer
-rows, after its own denominators are cleared, and if no candidate passes,
-the exact route runs instead.
+row's denominators in one pass; an int64 array is already cleared and
+skips that pass and the type scan.  It tries a candidate after the first
+prime, and after each failed try doubles the number of agreeing primes
+before the next one (1, 2, 4, ...), so a system whose answer has small
+entries is solved modulo one prime.  It can never return a wrong answer:
+every candidate is checked with exact integer arithmetic against the
+integer rows, after its own denominators are cleared, and if no candidate
+passes, the exact route runs instead.
 
 ``nullspace`` reads a kernel basis off one RREF of the rows.
 """
@@ -253,8 +255,22 @@ def solve_linear(A, b):
     """Solve A x = b exactly; returns LinearSolution or Infeasible.
 
     The particular solution is canonical: RREF with the first-nonzero pivot
-    rule, free variables zero.
+    rule, free variables zero.  A is a Matrix, a sequence of rows, or an
+    int64 ``numpy`` array with b a sequence of ints: such a system is
+    already cleared of denominators and goes straight to the modular
+    route, and its answer is the one of the same rows as Fractions.
     """
+    if isinstance(A, np.ndarray) and A.dtype == np.int64:
+        b = [int(x) for x in b]
+        if A.ndim != 2 or len(b) != A.shape[0]:
+            raise DimensionError("right-hand side length mismatch")
+        if not b:
+            return LinearSolution([])
+        res = _solve_modular(A, b)
+        if res is not None:
+            return res
+        return _solve_exact([list(map(Fraction, r)) for r in A.tolist()],
+                            list(map(Fraction, b)))
     rows = list(A.rows) if isinstance(A, Matrix) else [list(r) for r in A]
     b = list(b)
     m = len(rows)
@@ -460,32 +476,52 @@ def _modp_read(E: np.ndarray, p: int, pivots, n: int):
     return x.tolist()
 
 
-def _solve_modular(rows, b):
-    """Deterministic modular solve with exact verification; None on failure."""
-    m = len(rows)
-    n = len(rows[0])
-    # clear denominators per row: identical solution set, scaled certificate
-    scales = []
-    int_rows = []
-    for r, bi in zip(rows, b):
-        row, L = _clear((*r, bi))
-        int_rows.append(row)
-        scales.append(L)
-    try:
-        base = np.array(int_rows, dtype=np.int64)
-    except OverflowError:
-        base = None
+def _solve_modular(A, b):
+    """Deterministic modular solve with exact verification; None on failure.
+
+    A is a list of Fraction rows, or an int64 array with b a list of ints.
+    The integer system (A | b) has row k equal to scales[k] times row k of
+    the system solved: Fraction rows are cleared of denominators one by
+    one (identical solution set, certificate scaled row by row), and an
+    array is already cleared.  The verification reads the integer rows one
+    at a time, from the array or, for Fraction rows, from their cleared
+    lists, which also give the residues when an entry is past int64.
+    """
+    if isinstance(A, np.ndarray):
+        m, n = A.shape
+        scales = [1] * m
+
+        def int_row(k):
+            return A[k].tolist() + [b[k]]
+    else:
+        m, n = len(A), len(A[0])
+        scales = []
+        int_rows = []
+        for r, bi in zip(A, b):
+            row, L = _clear((*r, bi))
+            int_rows.append(row)
+            scales.append(L)
+        int_row = int_rows.__getitem__
+        try:
+            base = np.array(int_rows, dtype=np.int64)
+            A, b = base[:, :n], base[:, n].tolist()
+        except OverflowError:
+            A = None
+    # (A | b | I) mod p, refilled in place for each prime
+    track = np.empty((m, n + 1 + m), dtype=np.int64)
+    diag = (np.arange(m), np.arange(n + 1, n + 1 + m))
 
     used = []  # (p, the entries _assemble_modular reads, mod p)
     structure = None
     tries_at = 1  # agreeing primes needed for the next candidate
     for p in _primes31():
-        if base is not None:
-            Ab = base % p
+        if A is None:
+            track[:, :n + 1] = [[x % p for x in row] for row in int_rows]
         else:
-            Ab = np.array([[x % p for x in row] for row in int_rows],
-                          dtype=np.int64)
-        track = np.concatenate([Ab, np.eye(m, dtype=np.int64)], axis=1)
+            np.remainder(A, p, out=track[:, :n])
+            track[:, n] = [x % p for x in b]
+        track[:, n + 1:] = 0
+        track[diag] = 1
         piv = _modp_echelon(track, p)
         st = tuple(c for c in piv if c <= n)
         if structure is None or len(st) > len(structure):
@@ -499,7 +535,7 @@ def _solve_modular(rows, b):
         used.append((p, _modp_read(track, p, piv, n)))
         if len(used) < tries_at:
             continue
-        result = _assemble_modular(int_rows, scales, used, structure, n, m)
+        result = _assemble_modular(int_row, scales, used, structure, n, m)
         if result is not None:
             return result
         tries_at *= 2
@@ -514,13 +550,14 @@ def _combine(used, k):
     return _rat_reconstruct(r_acc, m_acc)
 
 
-def _assemble_modular(int_rows, scales, used, structure, n, m):
+def _assemble_modular(int_row, scales, used, structure, n, m):
     """Reconstruct the candidate and verify it over the integer rows.
 
-    Row k of ``int_rows`` is scales[k] times row k of (A | b), so x solves
-    A x = b exactly when every integer row annihilates (D x, -D), and y is
-    a certificate exactly when (D y).int_rows is 0 before the last column
-    and nonzero at it.
+    ``int_row(k)``, a list of ints, is scales[k] times row k of (A | b),
+    and the rows are read one at a time.  So x solves A x = b exactly when
+    every integer row annihilates (D x, -D), and y is a certificate exactly
+    when the sum of D y_k int_row(k) is 0 before the last column and
+    nonzero at it.
     """
     if structure and structure[-1] == n:
         # infeasibility candidate: certificate from the tracking block
@@ -532,9 +569,9 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
             y.append(val)
         ys, D = _clear(y)
         acc = [0] * (n + 1)
-        for yk, row in zip(ys, int_rows):
+        for k, yk in enumerate(ys):
             if yk:
-                acc = list(map(add, acc, map(mul, repeat(yk), row)))
+                acc = list(map(add, acc, map(mul, repeat(yk), int_row(k))))
         if any(acc[:n]) or not acc[n]:
             return None
         # y_k scales[k] is a certificate for (A | b) with y.b = acc[n] / D
@@ -548,8 +585,8 @@ def _assemble_modular(int_rows, scales, used, structure, n, m):
         x[c] = val
     xs, D = _clear(x)
     xs.append(-D)
-    for row in int_rows:
-        if sum(map(mul, row, xs)):
+    for k in range(m):
+        if sum(map(mul, int_row(k), xs)):
             return None
     return LinearSolution(x)
 

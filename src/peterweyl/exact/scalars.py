@@ -308,7 +308,9 @@ class Cyclotomic(_Extension):
         return (self.n, self._c, self._q)
 
     def _key(self):
-        return (self.n, self.coeffs)
+        # hash(Fraction(k, 1)) == hash(k) and they compare equal, so the
+        # ints stand in for the Fraction view when q is 1
+        return (self.n, self._c if self._q == 1 else self.coeffs)
 
     def _constant(self):
         c = self._c

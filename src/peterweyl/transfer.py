@@ -29,13 +29,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     InternalError,
     MembershipError,
     PreconditionError,
 )
 from .exact.linalg import Infeasible, Matrix, Subspace, solve_linear
-from .exact.scalars import Frozen, as_scalar, scalar_to_str
+from .exact.scalars import Frozen, _clear, as_scalar, scalar_to_str
 from .groups import Group, same_group
 from .hopf import (
     AlgebraElement,
@@ -303,7 +305,12 @@ def solve_t(p):
     of maps: |G|^3 rows by the distinct columns, which is |G|^2 for an
     abelian G.  Elimination never pivots on a column equal to an earlier
     one and sets free unknowns to 0, so the dropped columns change
-    neither T nor the certificate, which is over rows.  Returns a
+    neither T nor the certificate, which is over rows.  When every
+    coefficient of Q and of (Delta (x) 1)(P) is a Fraction, one common
+    denominator D clears them all and the system goes to the solver as
+    an int64 array; D times its certificate is the certificate of the
+    rows, and its solution is theirs.  Cyclotomic coefficients, and
+    cleared ones past 63 bits, are written as scalar rows.  Returns a
     four-slot tensor or the Infeasible certificate produced by the exact
     solver.
     """
@@ -315,20 +322,59 @@ def solve_t(p):
     left, right = (_distinct_maps(table, sorted({key[s] for key in q}))
                    for s in (0, 1))
     cols = list(itertools.product(left, right))
-    rows = [[_F0] * len(cols) for _ in range(n ** 3)]
-    for col, ((_, f), (_, g)) in enumerate(cols):
-        # (p1, q1) -> (t1 p1 t2, t3 q1 t4) is injective, so no two terms
-        # of Q share a row of this column
-        for (p1, q1, g3), c in q.items():
-            rows[(f[p1] * n + g[q1]) * n + g3][col] = c
-    b = [_F0] * (n ** 3)
-    for (g1, g2, g3), c in apply_delta(t, 0).terms.items():
-        b[(g1 * n + g2) * n + g3] = c
-    res = solve_linear(rows, b)
+    delta = apply_delta(t, 0).terms
+    system = _integer_system(q, delta, left, right, n)
+    if system is None:
+        rows = [[_F0] * len(cols) for _ in range(n ** 3)]
+        for col, ((_, f), (_, g)) in enumerate(cols):
+            # (p1, q1) -> (t1 p1 t2, t3 q1 t4) is injective, so no two
+            # terms of Q share a row of this column
+            for (p1, q1, g3), c in q.items():
+                rows[(f[p1] * n + g[q1]) * n + g3][col] = c
+        b = [_F0] * (n ** 3)
+        for (g1, g2, g3), c in delta.items():
+            b[(g1 * n + g2) * n + g3] = c
+        res = solve_linear(rows, b)
+    else:
+        A, b, D = system
+        res = solve_linear(A, b)
+        if isinstance(res, Infeasible):
+            # y.(D A) = 0 and y.(D b) = 1 make D y the certificate of (A, b)
+            res = Infeasible([y * D for y in res.certificate])
     if isinstance(res, Infeasible):
         return res
     return TensorElement(grp, 4, {lp + rp: v for ((lp, _), (rp, _)), v
                                   in zip(cols, res.particular) if v})
+
+
+def _integer_system(q, delta, left, right, n):
+    """The system of ``solve_t`` times D, as an int64 array and int b, and D.
+
+    D clears every coefficient of Q and of (Delta (x) 1)(P) at once, so the
+    array is the scalar rows times D; the column of the left map f and the
+    right map g holds Q's term (p1, q1, g3) at row (f[p1] n + g[q1]) n + g3.
+    None when Q is zero, a coefficient is not a Fraction or a cleared one
+    needs more than 63 bits.
+    """
+    values = [*q.values(), *delta.values()]
+    if not q or any(type(v) is not Fraction for v in values):
+        return None
+    ints, D = _clear(values)
+    if max(map(abs, ints)) >= 2 ** 63:
+        return None
+    p1s, q1s, g3s = zip(*q)
+    fs = np.array([[f[x] for x in p1s] for _, f in left], dtype=np.intp)
+    gs = np.array([[g[x] for x in q1s] for _, g in right], dtype=np.intp)
+    # at[l, r, k]: the row of Q's term k in column l * len(right) + r,
+    # which no other term shares (the maps are injective)
+    at = (fs[:, None, :] * n + gs[None, :, :]) * n + np.array(g3s)
+    cols = np.arange(len(left) * len(right)).reshape(len(left), -1, 1)
+    A = np.zeros((n ** 3, cols.size), dtype=np.int64)
+    A[at, cols] = ints[:len(q)]
+    b = [0] * (n ** 3)
+    for (g1, g2, g3), c in zip(delta, ints[len(q):]):
+        b[(g1 * n + g2) * n + g3] = c
+    return A, b, D
 
 
 def check_t(p, t4: TensorElement) -> bool:

@@ -7,18 +7,21 @@ it as the oracle for Schur's lemma and for splitting.  The cocycle
 helpers build non-split-looking modules whose characters must still add.
 `reference_constraints` assembles the search system from algebra-element
 products, the oracle for the row assembly of `search.assemble_constraints`.
+`reference_solve_t` solves the factorization system over scalar rows, the
+oracle for the integer array that `transfer.solve_t` assembles.
 """
 
+import itertools
 from fractions import Fraction
 
 from peterweyl.errors import PreconditionError
-from peterweyl.exact.linalg import Matrix, nullspace
+from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
 from peterweyl.exact.polysys import Poly, PolySystem
 from peterweyl.groups import Group, same_group
-from peterweyl.hopf import convolve
+from peterweyl.hopf import TensorElement, apply_delta, convolve, embed
 from peterweyl.reps import Rep, character_table
 from peterweyl.search import a_basis
-from peterweyl.transfer import phi
+from peterweyl.transfer import _distinct_maps, phi
 
 _F0 = Fraction(0)
 
@@ -167,3 +170,33 @@ def reference_constraints(group: Group) -> PolySystem:
                 if poly:
                     polys.append(poly)
     return PolySystem(basis.names, polys)
+
+
+def reference_solve_t(p):
+    """`solve_t` with its system written entry by entry as scalar rows.
+
+    The columns are those of `solve_t` (the first pair of each pair of
+    distinct slot maps); each column holds every coefficient of
+    Q = P_13 P_23 at its row, and the right-hand side is
+    (Delta (x) 1)(P), both as the scalars they are, solved by
+    `solve_linear` over the rows.
+    """
+    t = p.tensor
+    grp = t.group
+    n = grp.order
+    q = (embed(t, 3, (0, 2)) * embed(t, 3, (1, 2))).terms
+    left, right = (_distinct_maps(grp.table, sorted({key[s] for key in q}))
+                   for s in (0, 1))
+    cols = list(itertools.product(left, right))
+    rows = [[_F0] * len(cols) for _ in range(n ** 3)]
+    for col, ((_, f), (_, g)) in enumerate(cols):
+        for (p1, q1, g3), c in q.items():
+            rows[(f[p1] * n + g[q1]) * n + g3][col] = c
+    b = [_F0] * (n ** 3)
+    for (g1, g2, g3), c in apply_delta(t, 0).terms.items():
+        b[(g1 * n + g2) * n + g3] = c
+    res = solve_linear(rows, b)
+    if isinstance(res, Infeasible):
+        return res
+    return TensorElement(grp, 4, {lp + rp: v for ((lp, _), (rp, _)), v
+                                  in zip(cols, res.particular) if v})

@@ -320,6 +320,63 @@ def test_small_rational_systems_take_the_modular_route(monkeypatch):
     assert kinds == {"feasible", "infeasible"}
 
 
+def _int_systems(rng):
+    """Small integer systems, feasible and not, with entries near int64's
+    end and a zero column."""
+    systems = [([[2**62, 1], [1, 0]], [3, 5]),
+               ([[1, 2], [2, 4]], [1, 3]),
+               ([[0, 0, 0]], [0]),
+               ([[-(2**63) + 1, 7]], [2**40])]
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            rows.append([a + c for a, c in zip(rows[0], rows[-1])])
+        systems.append((rows, [rng.randint(-9, 9) for _ in rows]))
+    return systems
+
+
+def test_int64_arrays_take_the_modular_route(monkeypatch):
+    # an int64 array with int b is already cleared: same answer as its
+    # rows as Fractions, and no exact route
+    systems = _int_systems(random.Random(212))
+    want = [_solve_exact([[F(x) for x in r] for r in rows], [F(x) for x in b])
+            for rows, b in systems]
+    _forbid_exact_route(monkeypatch)
+    kinds = set()
+    for (rows, b), slow in zip(systems, want):
+        fast = solve_linear(np.array(rows, dtype=np.int64), b)
+        kinds.add(check_solution([[F(x) for x in r] for r in rows],
+                                 [F(x) for x in b], fast))
+        assert type(fast) is type(slow)
+        if isinstance(fast, Infeasible):
+            assert fast.certificate == slow.certificate
+        else:
+            assert fast.particular == slow.particular
+    assert kinds == {"feasible", "infeasible"}
+
+
+def test_int64_array_falls_back_to_the_exact_route(monkeypatch):
+    monkeypatch.setattr(linalg, "_primes31", lambda: ())
+    for rows, b in _int_systems(random.Random(213)):
+        fast = solve_linear(np.array(rows, dtype=np.int64), b)
+        slow = _solve_exact([[F(x) for x in r] for r in rows],
+                            [F(x) for x in b])
+        assert type(fast) is type(slow)
+        values = (fast.certificate if isinstance(fast, Infeasible)
+                  else fast.particular)
+        assert all(type(v) is Fraction for v in values)
+        assert values == (slow.certificate if isinstance(slow, Infeasible)
+                          else slow.particular)
+
+
+def test_int64_array_shape_is_checked():
+    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    with pytest.raises(DimensionError):
+        solve_linear(A, [1])
+    assert solve_linear(np.zeros((0, 3), dtype=np.int64), []).particular == ()
+
+
 def test_modular_route_matches_reference_feasible(monkeypatch):
     _forbid_exact_route(monkeypatch)
     rng = random.Random(206)

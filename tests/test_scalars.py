@@ -641,6 +641,27 @@ def test_variant_error_exactly_when_non_rational_fields_differ(a, b):
             op()
 
 
+@given(_cyclotomics())
+def test_cyclotomic_hash_is_that_of_its_fraction_view(x):
+    # _key() skips the Fraction view when q is 1; the hash must not notice
+    if x.is_rational:
+        assert hash(x) == hash(x.as_fraction())
+    else:
+        assert hash(x) == hash((x.n, x.coeffs))
+
+
+def test_cyclotomic_hash_for_both_denominators():
+    z = Cyclotomic.zeta(5)
+    whole, halves = z * 3 + 2, (z * 3 + 2) / 2
+    assert (whole._q, halves._q) == (1, 2)
+    for x in (whole, halves):
+        assert hash(x) == hash((x.n, x.coeffs))
+        assert _same_key(x, Cyclotomic(5, x.coeffs))
+    assert not _same_key(whole, halves)
+    for c in (F(3), F(3, 2), F(0)):
+        assert hash(Cyclotomic.of(5, c)) == hash(c)
+
+
 @given(_mixed_scalars, _mixed_scalars)
 def test_equal_mixed_scalars_hash_equal(a, b):
     if _clash(a, b):

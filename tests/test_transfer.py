@@ -5,7 +5,8 @@ Independent oracles used here:
 * admissibility is re-checked against the brute-force centralizer condition
   quantified over every group element, not just generators;
 * the linear system behind the factorization solver is re-assembled column
-  by column in a separate routine to validate infeasibility certificates;
+  by column in a separate routine to validate infeasibility certificates,
+  and solved over scalar rows as the reference for its integer assembly;
 * block decompositions are compared against character arithmetic done by
   hand (frozen dictionaries);
 * the bicharacter R-matrix, which the library reads off the character
@@ -20,8 +21,9 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peterweyl.errors import (
@@ -54,6 +56,7 @@ from peterweyl.hopf import (
     convolve,
     tensor,
 )
+from _modules import reference_solve_t
 from peterweyl.transfer import (
     PCandidate,
     bicharacter_r,
@@ -418,6 +421,109 @@ def test_solve_t_keeps_only_the_distinct_columns(monkeypatch):
     for cand, width in cases:
         solve_t(cand)
         assert widths.pop() == width
+
+
+def _assert_same_answer(got, want):
+    """Equal answers, down to the printed value of every entry."""
+    assert type(got) is type(want)
+    if isinstance(got, Infeasible):
+        assert [str(y) for y in got.certificate] == [
+            str(y) for y in want.certificate]
+    else:
+        assert sorted((k, str(v)) for k, v in got.terms.items()) == sorted(
+            (k, str(v)) for k, v in want.terms.items())
+
+
+def _small_fractions():
+    return st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _rational_t_candidates(draw):
+    """S3-family points, its degenerate points, the unit and regular
+    candidates of S3 and D4, and scaled Z2xZ2 bicharacter candidates."""
+    kind = draw(st.sampled_from(["s3", "degenerate", "unit-regular",
+                                 "bicharacter"]))
+    if kind == "s3":
+        return s3_family(draw(_small_fractions()), draw(_small_fractions()))
+    if kind == "degenerate":
+        return s3_family(*draw(st.sampled_from([(F(0), F(1)),
+                                                (F(1), F(0))])))
+    if kind == "unit-regular":
+        make = draw(st.sampled_from([unit_p, regular_p]))
+        return make(parse_group(draw(st.sampled_from(["S3", "D4"]))))
+    grp = parse_group("Z2xZ2")
+    scale = draw(st.builds(F, st.integers(1, 9) | st.integers(-9, -1),
+                           st.integers(1, 9)))
+    g = draw(st.integers(0, grp.order - 1))
+    terms = _bicharacter_candidate(grp).tensor.terms
+    return PCandidate(TensorElement(grp, 2, {
+        (grp.mul(a, g), b): v * scale for (a, b), v in terms.items()}),
+        "scaled-bicharacter")
+
+
+def _recording_solve_linear(monkeypatch):
+    """Record the type of A of every solve_linear call of solve_t."""
+    kinds = []
+
+    def recording(A, b):
+        kinds.append(type(A))
+        return linalg.solve_linear(A, b)
+
+    monkeypatch.setattr(transfer, "solve_linear", recording)
+    return kinds
+
+
+@settings(max_examples=30)
+@given(_rational_t_candidates())
+def test_integer_assembly_matches_the_scalar_rows(cand):
+    got = solve_t(cand)
+    want = reference_solve_t(cand)
+    _assert_same_answer(got, want)
+    if not isinstance(got, Infeasible):
+        assert check_t(cand, got)
+
+
+def test_rational_systems_are_assembled_as_int64_arrays(monkeypatch):
+    kinds = _recording_solve_linear(monkeypatch)
+    for cand in (s3_family(F(3, 2), F(-7, 3)), regular_p(symmetric(3)),
+                 _bicharacter_candidate(parse_group("Z2xZ2"))):
+        solve_t(cand)
+    assert kinds == [np.ndarray] * 3
+    solve_t(_bicharacter_candidate(parse_group("Z3")))
+    assert kinds[-1] is list
+
+
+def test_solve_t_falls_back_to_scalar_rows_past_int64(monkeypatch):
+    # the cleared coefficients of this point need more than 63 bits
+    cand = s3_family(F(10**20, 3), F(-7, 10**19))
+    kinds = _recording_solve_linear(monkeypatch)
+    res = solve_t(cand)
+    assert kinds == [list]
+    assert isinstance(res, Infeasible)
+    _assert_same_answer(res, reference_solve_t(cand))
+
+
+def test_integer_assembly_survives_the_exact_fallback(monkeypatch):
+    # with no primes the array route falls back to Gauss-Jordan elimination
+    # over the array's entries as Fractions; the answers and the Z2xZ2 pin
+    # must not change.  A 216 x 1296 S3 system takes minutes that way, so
+    # the systems here are the small ones.
+    grp = parse_group("Z2xZ2")
+    cands = [unit_p(symmetric(3)), _bicharacter_candidate(grp),
+             PCandidate(TensorElement(grp, 2, {(0, 1): F(3, 2),
+                                               (2, 3): F(-5, 7)}), "sparse")]
+    want = [solve_t(cand) for cand in cands]
+    monkeypatch.setattr(linalg, "_primes31", lambda: ())
+    kinds = _recording_solve_linear(monkeypatch)
+    got = [solve_t(cand) for cand in cands]
+    assert kinds == [np.ndarray] * 3
+    assert isinstance(got[2], Infeasible)
+    for g, w in zip(got, want):
+        _assert_same_answer(g, w)
+    terms = sorted((k, str(v)) for k, v in got[1].terms.items())
+    assert _sha256(repr(terms)) == (
+        "355ce715b59bc644a1ece77df5eded3d1fcacbeab6382bf544b7bfa7e29032e5")
 
 
 def _fourier_feasible(grp, coeffs):
