@@ -56,7 +56,6 @@ from peterweyl.hopf import (
     convolve,
     tensor,
 )
-from _modules import reference_solve_t
 from peterweyl.transfer import (
     PCandidate,
     bicharacter_r,
@@ -82,6 +81,8 @@ from peterweyl.transfer import (
     solve_t,
     unit_p,
 )
+
+from _modules import reference_solve_t
 
 
 def random_two_tensor(grp, rng, terms=6):
