@@ -204,6 +204,7 @@ def _cmd_verify(args) -> int:
     cand = _load_candidate(args, group)
     required = _name_list(args.require, "--require", _REQUIRABLE)
     report = membership_report(cand)
+    rj = report.to_json()
     outcome = {
         "A": report.admissible,
         "M": report.multiplicative,
@@ -224,10 +225,9 @@ def _cmd_verify(args) -> int:
             "require": sorted(required),
         },
         "candidate": {"note": cand.note, "tensor": tensor_to_json(cand.tensor)},
-        "report": report.to_json(),
+        "report": rj,
         "passed": passed,
     }
-    rj = report.to_json()
     lines = ["candidate: %s" % cand.note]
     for key in ("A", "M", "M0"):
         lines.append("%s=%s" % (key, str(outcome[key]).lower()))

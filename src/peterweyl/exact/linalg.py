@@ -6,26 +6,28 @@ Everything is computed exactly; there is no numeric tolerance anywhere.
 the scalar type of the system, and each yields either the particular
 solution or an infeasibility certificate:
 
-* a modular route for every system whose entries are all ``Fraction``,
-  and for an int64 ``numpy`` array A with int b: forward elimination
-  modulo each prime of a fixed, deterministic list of 31-bit primes, then
-  the one row or column the candidate needs, Chinese remaindering,
-  rational reconstruction, and a mandatory exact verification of the
-  candidate (solution or infeasibility certificate);
+* a modular route for every system whose entries are all ``int`` or
+  ``Fraction``, and for an int64 ``numpy`` array A with int b: forward
+  elimination modulo each prime of a fixed, deterministic list of 31-bit
+  primes, then the one row or column the candidate needs, Chinese
+  remaindering, rational reconstruction, and a mandatory exact
+  verification of the candidate (solution or infeasibility certificate);
 * an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
   the modular one: field Gauss-Jordan elimination with the first-nonzero
   pivot rule.
 
-A system whose entries are all ``Fraction`` already has its common variant,
-so only other mixes go through ``unify``.  The modular route clears each
-row's denominators in one pass; an int64 array is already cleared and
-skips that pass and the type scan.  It tries a candidate after the first
-prime, and after each failed try doubles the number of agreeing primes
-before the next one (1, 2, 4, ...), so a system whose answer has small
-entries is solved modulo one prime.  It can never return a wrong answer:
-every candidate is checked with exact integer arithmetic against the
-integer rows, after its own denominators are cleared, and if no candidate
-passes, the exact route runs instead.
+A rational system already has its common variant, so only other mixes go
+through ``unify``.  Its rows are cleared of denominators one by one into
+one integer array (int64, or ``object`` past 63 bits); an int64 array is
+already that form and skips the type scan.  Clearing scales each row, so
+the solutions are the same and a certificate is scaled row by row.  The
+modular route tries a candidate after the first prime, and after each
+failed try doubles the number of agreeing primes before the next one
+(1, 2, 4, ...), so a system whose answer has small entries is solved
+modulo one prime.  It can never return a wrong answer: every candidate is
+checked with exact integer arithmetic against the integer rows, after its
+own denominators are cleared, and if no candidate passes, the exact route
+runs over the integer rows instead.
 
 ``nullspace`` reads a kernel basis off one RREF of the rows.
 """
@@ -256,42 +258,51 @@ def solve_linear(A, b):
 
     The particular solution is canonical: RREF with the first-nonzero pivot
     rule, free variables zero.  A is a Matrix, a sequence of rows, or an
-    int64 ``numpy`` array with b a sequence of ints: such a system is
-    already cleared of denominators and goes straight to the modular
-    route, and its answer is the one of the same rows as Fractions.
+    int64 ``numpy`` array with b a sequence of ints.  Rows of ints and
+    Fractions, and such an array, take the modular route; the answer of
+    an array is the one of its rows as Fractions.
     """
     if isinstance(A, np.ndarray) and A.dtype == np.int64:
-        b = [int(x) for x in b]
-        if A.ndim != 2 or len(b) != A.shape[0]:
-            raise DimensionError("right-hand side length mismatch")
-        if not b:
-            return LinearSolution([])
-        res = _solve_modular(A, b)
-        if res is not None:
-            return res
-        return _solve_exact([list(map(Fraction, r)) for r in A.tolist()],
-                            list(map(Fraction, b)))
-    rows = list(A.rows) if isinstance(A, Matrix) else [list(r) for r in A]
-    b = list(b)
+        if A.ndim != 2:
+            raise DimensionError("expected a two-dimensional array")
+        rows, b = A, [int(x) for x in b]
+    else:
+        rows = list(A.rows) if isinstance(A, Matrix) else [list(r) for r in A]
+        b = list(b)
     m = len(rows)
-    n = len(rows[0]) if rows else 0
     if len(b) != m:
         raise DimensionError("right-hand side length mismatch")
     if m == 0:
         return LinearSolution([])
-    types = set(map(type, chain.from_iterable(rows)))
-    types.update(map(type, b))
-    if types == {Fraction}:
-        res = _solve_modular(rows, b)
-        if res is not None:
-            return res
-    else:
-        flat = unify([x for r in rows for x in r] + b)
-        if n:
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DimensionError("ragged rows")
+    scales = [1] * m
+    if not isinstance(rows, np.ndarray):
+        types = set(map(type, chain.from_iterable(rows)))
+        types.update(map(type, b))
+        if not types <= {int, Fraction}:
+            flat = unify([x for r in rows for x in r] + b)
             it = iter(flat)
             rows = [[next(it) for _ in range(n)] for _ in range(m)]
-        b = flat[m * n:]
-    return _solve_exact(rows, b)
+            return _solve_exact(rows, flat[m * n:])
+        # row k times scales[k], the lcm of its denominators, into one
+        # integer array: int64, or object when an entry needs more bits
+        cleared, scales = zip(*(_clear((*r, bi)) for r, bi in zip(rows, b)))
+        try:
+            base = np.array(cleared, dtype=np.int64)
+        except OverflowError:
+            base = np.array(cleared, dtype=object)
+        rows, b = base[:, :n], base[:, n].tolist()
+    res = _solve_modular(rows, b, scales)
+    if res is None:
+        # the integer rows have the same RREF; a certificate y' of theirs
+        # gives y_k = scales[k] y'_k
+        res = _solve_exact([list(map(Fraction, r)) for r in rows.tolist()],
+                           list(map(Fraction, b)))
+        if isinstance(res, Infeasible):
+            res = Infeasible(map(mul, res.certificate, scales))
+    return res
 
 
 def nullspace(rows, ncols: int):
@@ -476,37 +487,15 @@ def _modp_read(E: np.ndarray, p: int, pivots, n: int):
     return x.tolist()
 
 
-def _solve_modular(A, b):
+def _solve_modular(A, b, scales):
     """Deterministic modular solve with exact verification; None on failure.
 
-    A is a list of Fraction rows, or an int64 array with b a list of ints.
-    The integer system (A | b) has row k equal to scales[k] times row k of
-    the system solved: Fraction rows are cleared of denominators one by
-    one (identical solution set, certificate scaled row by row), and an
-    array is already cleared.  The verification reads the integer rows one
-    at a time, from the array or, for Fraction rows, from their cleared
-    lists, which also give the residues when an entry is past int64.
+    A is an integer array (int64, or ``object`` past 63 bits) and b a list
+    of ints, and row k of (A | b) is scales[k] times row k of the system
+    solved: the same solutions, and a certificate y' of (A | b) gives the
+    certificate y_k = scales[k] y'_k.
     """
-    if isinstance(A, np.ndarray):
-        m, n = A.shape
-        scales = [1] * m
-
-        def int_row(k):
-            return A[k].tolist() + [b[k]]
-    else:
-        m, n = len(A), len(A[0])
-        scales = []
-        int_rows = []
-        for r, bi in zip(A, b):
-            row, L = _clear((*r, bi))
-            int_rows.append(row)
-            scales.append(L)
-        int_row = int_rows.__getitem__
-        try:
-            base = np.array(int_rows, dtype=np.int64)
-            A, b = base[:, :n], base[:, n].tolist()
-        except OverflowError:
-            A = None
+    m, n = A.shape
     # (A | b | I) mod p, refilled in place for each prime
     track = np.empty((m, n + 1 + m), dtype=np.int64)
     diag = (np.arange(m), np.arange(n + 1, n + 1 + m))
@@ -515,11 +504,8 @@ def _solve_modular(A, b):
     structure = None
     tries_at = 1  # agreeing primes needed for the next candidate
     for p in _primes31():
-        if A is None:
-            track[:, :n + 1] = [[x % p for x in row] for row in int_rows]
-        else:
-            np.remainder(A, p, out=track[:, :n])
-            track[:, n] = [x % p for x in b]
+        np.remainder(A, p, out=track[:, :n], casting="unsafe")
+        track[:, n] = [x % p for x in b]
         track[:, n + 1:] = 0
         track[diag] = 1
         piv = _modp_echelon(track, p)
@@ -535,7 +521,7 @@ def _solve_modular(A, b):
         used.append((p, _modp_read(track, p, piv, n)))
         if len(used) < tries_at:
             continue
-        result = _assemble_modular(int_row, scales, used, structure, n, m)
+        result = _assemble_modular(A, b, scales, used, structure)
         if result is not None:
             return result
         tries_at *= 2
@@ -550,15 +536,20 @@ def _combine(used, k):
     return _rat_reconstruct(r_acc, m_acc)
 
 
-def _assemble_modular(int_row, scales, used, structure, n, m):
+def _assemble_modular(A, b, scales, used, structure):
     """Reconstruct the candidate and verify it over the integer rows.
 
-    ``int_row(k)``, a list of ints, is scales[k] times row k of (A | b),
-    and the rows are read one at a time.  So x solves A x = b exactly when
-    every integer row annihilates (D x, -D), and y is a certificate exactly
-    when the sum of D y_k int_row(k) is 0 before the last column and
-    nonzero at it.
+    Row k of (A | b) is scales[k] times row k of the system solved, and
+    the rows are read one at a time.  So x solves it exactly when every
+    integer row annihilates (D x, -D), and y is a certificate exactly when
+    the sum of D y_k (A | b)_k is 0 before the last column and nonzero at
+    it.
     """
+    m, n = A.shape
+
+    def int_row(k):
+        return A[k].tolist() + [b[k]]
+
     if structure and structure[-1] == n:
         # infeasibility candidate: certificate from the tracking block
         y = []

@@ -10,7 +10,7 @@ standard ones for a group algebra:
 so the antipode squares to the identity and every completed tensor product
 collapses to the algebraic one (H is finite-dimensional).
 
-Four module actions are provided uniformly through ``act``:
+Five module actions are provided uniformly through ``act``:
 
 * ``ad``       h acts by conjugation  g . b = g b g^{-1}
 * ``ad_star``  the reversed conjugation  g . b = g^{-1} b g

@@ -305,76 +305,58 @@ def solve_t(p):
     of maps: |G|^3 rows by the distinct columns, which is |G|^2 for an
     abelian G.  Elimination never pivots on a column equal to an earlier
     one and sets free unknowns to 0, so the dropped columns change
-    neither T nor the certificate, which is over rows.  When every
-    coefficient of Q and of (Delta (x) 1)(P) is a Fraction, one common
-    denominator D clears them all and the system goes to the solver as
-    an int64 array; D times its certificate is the certificate of the
-    rows, and its solution is theirs.  Cyclotomic coefficients, and
-    cleared ones past 63 bits, are written as scalar rows.  Returns a
+    neither T nor the certificate, which is over rows.  The system is
+    built once (``_t_system``), as an int64 array cleared by one common
+    denominator D when every coefficient is a Fraction and fits, and as
+    rows of the scalars themselves, with D = 1, otherwise; D times the
+    certificate of the array is the certificate of the rows.  Returns a
     four-slot tensor or the Infeasible certificate produced by the exact
     solver.
     """
     t = _tensor_of(p)
     grp = t.group
-    n = grp.order
-    table = grp.table
     q = (embed(t, 3, (0, 2)) * embed(t, 3, (1, 2))).terms
-    left, right = (_distinct_maps(table, sorted({key[s] for key in q}))
+    left, right = (_distinct_maps(grp.table, sorted({key[s] for key in q}))
                    for s in (0, 1))
-    cols = list(itertools.product(left, right))
-    delta = apply_delta(t, 0).terms
-    system = _integer_system(q, delta, left, right, n)
-    if system is None:
-        rows = [[_F0] * len(cols) for _ in range(n ** 3)]
-        for col, ((_, f), (_, g)) in enumerate(cols):
-            # (p1, q1) -> (t1 p1 t2, t3 q1 t4) is injective, so no two
-            # terms of Q share a row of this column
-            for (p1, q1, g3), c in q.items():
-                rows[(f[p1] * n + g[q1]) * n + g3][col] = c
-        b = [_F0] * (n ** 3)
-        for (g1, g2, g3), c in delta.items():
-            b[(g1 * n + g2) * n + g3] = c
-        res = solve_linear(rows, b)
-    else:
-        A, b, D = system
-        res = solve_linear(A, b)
-        if isinstance(res, Infeasible):
-            # y.(D A) = 0 and y.(D b) = 1 make D y the certificate of (A, b)
-            res = Infeasible([y * D for y in res.certificate])
+    A, b, D = _t_system(q, apply_delta(t, 0).terms, left, right, grp.order)
+    res = solve_linear(A, b)
     if isinstance(res, Infeasible):
-        return res
+        # y.(D A) = 0 and y.(D b) = 1 make D y the certificate of (A, b)
+        return Infeasible([y * D for y in res.certificate])
     return TensorElement(grp, 4, {lp + rp: v for ((lp, _), (rp, _)), v
-                                  in zip(cols, res.particular) if v})
+                                  in zip(itertools.product(left, right),
+                                         res.particular) if v})
 
 
-def _integer_system(q, delta, left, right, n):
-    """The system of ``solve_t`` times D, as an int64 array and int b, and D.
+def _t_system(q, delta, left, right, n):
+    """The system of ``solve_t`` times D: A, b and D.
 
-    D clears every coefficient of Q and of (Delta (x) 1)(P) at once, so the
-    array is the scalar rows times D; the column of the left map f and the
-    right map g holds Q's term (p1, q1, g3) at row (f[p1] n + g[q1]) n + g3.
-    None when Q is zero, a coefficient is not a Fraction or a cleared one
-    needs more than 63 bits.
+    When every coefficient of Q and of (Delta (x) 1)(P) is a Fraction and
+    one common denominator D clears them all within 63 bits, A is an int64
+    array of the cleared ints; otherwise A is the rows of the scalars
+    themselves and D = 1.  The column of the left map f and the right map
+    g holds Q's term (p1, q1, g3) at row (f[p1] n + g[q1]) n + g3.  Its
+    index arrays, about 1 MB for the S3 family, are freed before the solve.
     """
     values = [*q.values(), *delta.values()]
-    if not q or any(type(v) is not Fraction for v in values):
-        return None
-    ints, D = _clear(values)
-    if max(map(abs, ints)) >= 2 ** 63:
-        return None
-    p1s, q1s, g3s = zip(*q)
+    D, dtype = 1, object
+    if all(type(v) is Fraction for v in values):
+        ints, L = _clear(values)
+        if max(map(abs, ints), default=0) < 2 ** 63:
+            values, D, dtype = ints, L, np.int64
+    p1s, q1s, g3s = zip(*q) if q else ((), (), ())
     fs = np.array([[f[x] for x in p1s] for _, f in left], dtype=np.intp)
     gs = np.array([[g[x] for x in q1s] for _, g in right], dtype=np.intp)
     # at[l, r, k]: the row of Q's term k in column l * len(right) + r,
     # which no other term shares (the maps are injective)
-    at = (fs[:, None, :] * n + gs[None, :, :]) * n + np.array(g3s)
+    at = (fs[:, None, :] * n + gs[None, :, :]) * n + np.array(g3s, np.intp)
     cols = np.arange(len(left) * len(right)).reshape(len(left), -1, 1)
-    A = np.zeros((n ** 3, cols.size), dtype=np.int64)
-    A[at, cols] = ints[:len(q)]
+    A = np.zeros((n ** 3, cols.size), dtype=dtype)
+    A[at, cols] = values[:len(q)]
     b = [0] * (n ** 3)
-    for (g1, g2, g3), c in zip(delta, ints[len(q):]):
+    for (g1, g2, g3), c in zip(delta, values[len(q):]):
         b[(g1 * n + g2) * n + g3] = c
-    return A, b, D
+    return A if dtype is np.int64 else A.tolist(), b, D
 
 
 def check_t(p, t4: TensorElement) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import numpy as np
@@ -22,7 +23,6 @@ from peterweyl.exact.linalg import (
     _primes31,
     _rat_reconstruct,
     _solve_exact,
-    _solve_modular,
     nullspace,
     rref,
     solve_linear,
@@ -137,6 +137,8 @@ def test_zero_rows_and_dimension_errors():
     assert res.particular == ()
     with pytest.raises(DimensionError):
         solve_linear([[1, 2]], [1, 2])
+    with pytest.raises(DimensionError):
+        solve_linear([[1, 2], [1]], [1, 2])
     with pytest.raises(DimensionError):
         rref([[1, 2], [1]])
 
@@ -377,6 +379,68 @@ def test_int64_array_shape_is_checked():
     assert solve_linear(np.zeros((0, 3), dtype=np.int64), []).particular == ()
 
 
+def test_python_int_systems_take_the_modular_route(monkeypatch):
+    # rows of ints, alone or with Fraction rows, are rational systems: the
+    # same answer as their Fraction copies, and no exact route
+    systems = [([[1, 2], [3, 4]], [1, 2]),
+               ([[1, 2], [2, 4]], [1, 3]),
+               (Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]]), [1, 0, 0])]
+    want = [_solve_exact([[F(x) for x in r] for r in getattr(A, "rows", A)],
+                         [F(x) for x in b]) for A, b in systems]
+    _forbid_exact_route(monkeypatch)
+    kinds = set()
+    for (A, b), slow in zip(systems, want):
+        fast = solve_linear(A, b)
+        kinds.add(check_solution(getattr(A, "rows", A), b, fast))
+        assert type(fast) is type(slow)
+        if isinstance(fast, Infeasible):
+            assert fast.certificate == slow.certificate
+        else:
+            assert fast.particular == slow.particular
+    assert kinds == {"feasible", "infeasible"}
+
+
+@st.composite
+def _scaled_rational_systems(draw):
+    """Rows of a rational (A | b), some infeasible, and for each row an int
+    s_k that clears it."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # a copy of a row with b shifted
+        row = rows[draw(st.integers(0, m - 1))]
+        rows.insert(draw(st.integers(0, m)), row[:-1] + [row[-1] + 1])
+    factor = st.integers(1, 4) | st.integers(-4, -1)
+    scales = [lcm(*(x.denominator for x in r)) * draw(factor) for r in rows]
+    return rows, scales
+
+
+@given(_scaled_rational_systems())
+def test_fraction_rows_int_rows_and_int64_arrays_agree(system):
+    # the system as Fraction rows, as int rows with row k scaled by s_k,
+    # and as an int64 array of those int rows: one x, and a certificate y
+    # of the Fraction rows is s_k y'_k for the certificate y' of the others
+    rows, scales = system
+    ints = [[int(x * s) for x in r] for r, s in zip(rows, scales)]
+    A, b = [r[:-1] for r in rows], [r[-1] for r in rows]
+    A_int, b_int = [r[:-1] for r in ints], [r[-1] for r in ints]
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_exact_route(mp)
+        base = solve_linear(A, b)
+        scaled = solve_linear(A_int, b_int)
+        array = solve_linear(np.array(A_int, dtype=np.int64), b_int)
+    check_solution(A, b, base)
+    assert type(base) is type(scaled) is type(array)
+    if isinstance(base, Infeasible):
+        assert scaled.certificate == array.certificate
+        assert base.certificate == tuple(
+            map(mul, scales, scaled.certificate))
+    else:
+        assert base.particular == scaled.particular == array.particular
+
+
 def test_modular_route_matches_reference_feasible(monkeypatch):
     _forbid_exact_route(monkeypatch)
     rng = random.Random(206)
@@ -410,17 +474,17 @@ def test_modular_route_with_fractional_entries(monkeypatch):
     assert check_solution(rows, b, res) == "feasible"
 
 
-def test_modular_route_itself_with_fractional_entries():
-    # call the modular route directly so a silent fall back to the exact
-    # route cannot pass for it
+def test_modular_route_itself_with_fractional_entries(monkeypatch):
+    # with the exact route forbidden, a silent fall back to it cannot pass
+    # for the modular route
+    _forbid_exact_route(monkeypatch)
     rng = random.Random(209)
     m, n = 20, 500
     rows = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
             for _ in range(m)]
     x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
     b = [_dot(r, x0) for r in rows]
-    fast = _solve_modular(rows, b)
-    assert fast is not None
+    fast = solve_linear(rows, b)
     assert check_solution(rows, b, fast) == "feasible"
     slow = _solve_exact(rows, b)
     assert fast.particular == slow.particular
@@ -459,8 +523,9 @@ def test_modular_route_survives_a_bad_first_prime(monkeypatch, feasible):
         rows[m - 1] = list(rows[0])
         b = [F(rng.randint(-9, 9)) for _ in range(m)]
         b[m - 1] = b[0] + 1
+    _forbid_exact_route(monkeypatch)
     counts = _pivot_counts(monkeypatch)
-    fast = _solve_modular(rows, b)
+    fast = solve_linear(rows, b)
     assert len(counts) >= 2 and counts[0] < counts[1]
     slow = _solve_exact(rows, b)
     if feasible:
@@ -482,8 +547,9 @@ def test_modular_route_rejects_an_answer_that_holds_only_modulo_p(
         rows, b = [[F(1)]], [F(p + 1)]
     else:
         rows, b = [[F(1)], [F(p + 1)]], [F(0), F(1)]
+    _forbid_exact_route(monkeypatch)
     counts = _pivot_counts(monkeypatch)
-    fast = _solve_modular(rows, b)
+    fast = solve_linear(rows, b)
     assert len(counts) > 1
     if feasible:
         assert fast.particular == (F(p + 1),)
