@@ -1,6 +1,8 @@
 """Exact dense linear algebra over the scalar fields.
 
 Everything is computed exactly; there is no numeric tolerance anywhere.
+float64 appears only inside the mod-p elimination, as a container for
+integers below 2^53, which it holds exactly.
 
 ``solve_linear`` has two routes to the same canonical answer, chosen by
 the scalar type of the system, and each yields either the particular
@@ -9,9 +11,11 @@ solution or an infeasibility certificate:
 * a modular route for every system whose entries are all ``int`` or
   ``Fraction``, and for an int64 ``numpy`` array A with int b: forward
   elimination modulo each prime of a fixed, deterministic list of 31-bit
-  primes, then the one row or column the candidate needs, Chinese
-  remaindering, rational reconstruction, and a mandatory exact
-  verification of the candidate (solution or infeasibility certificate);
+  primes (in column panels, each applied to the columns right of it by
+  float64 matrix products), then the one row or column the candidate
+  needs, Chinese remaindering, rational reconstruction, and a mandatory
+  exact verification of the candidate (solution or infeasibility
+  certificate);
 * an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
   the modular one: field Gauss-Jordan elimination with the first-nonzero
   pivot rule.
@@ -197,11 +201,16 @@ def rref(rows):
         inv = _F1 / work[r][c]
         if inv != 1:
             work[r] = [x * inv for x in work[r]]
+        # the pivot row is zero left of c, so only its nonzero entries
+        # from c on change the other rows
         prow = work[r]
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
         for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+            row = work[i]
+            f = row[c]
+            if i != r and f:
+                for j, x in support:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in work), tuple(pivots)
@@ -426,37 +435,99 @@ def _crt_pair(r1, m1, r2, m2):
     return r1 + m1 * t, m1 * m2
 
 
+# ``_modp_echelon`` eliminates _PANEL columns at a time and updates the
+# columns right of them in chunks of _CHUNK.  Its products in float64 are
+# exact: ``_mulmod`` multiplies residues below p < 2^31 by at most _PANEL
+# residues split into 16-bit halves, so each product is below 2^47 and each
+# partial sum, in whatever order or with whatever fused multiply-adds the
+# BLAS takes, is an integer below 2^53.
+_PANEL = 64
+_CHUNK = 256
+assert _PANEL * (2**31 - 2) * (2**16 - 1) < 2**53
+
+
+def _mulmod(G: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """G @ X mod p for int64 residues mod p < 2^31, with G (h x k),
+    k <= _PANEL, and X (k x w), computed exactly as float64 products."""
+    w = X.shape[1]
+    halves = np.empty((X.shape[0], 2 * w))
+    np.bitwise_and(X, 0xFFFF, out=halves[:, :w], casting="unsafe")
+    np.right_shift(X, 16, out=halves[:, w:], casting="unsafe")
+    prod = (G.astype(np.float64) @ halves).astype(np.int64)
+    lo, hi = prod[:, :w], prod[:, w:]
+    # floor division by a scalar is several times faster than % on int64
+    hi -= (hi // p) * p
+    lo += hi << 16
+    lo -= (lo // p) * p
+    return lo
+
+
 def _modp_echelon(M: np.ndarray, p: int):
-    """In-place forward elimination of int64 matrix mod p; returns pivots.
+    """In-place forward elimination of an int64 matrix of residues mod p;
+    returns pivots.
 
     The first-nonzero pivot rule, with each pivot row scaled to 1 and only
     the rows below it cleared, from the pivot column on (they are zero left
     of it).  Those rows change exactly as in Gauss-Jordan, so the pivots
     and the row order are those of the RREF; ``_modp_read`` reads the one
     vector of the RREF that a candidate needs.
+
+    The columns go in panels of _PANEL, each eliminated on its own columns
+    with rows swapped whole.  Column w + j of its work array gets a 1 in
+    pivot row j when that row is chosen, so the same row operations make
+    G, those k columns, the record of the panel: each row from r ends as
+    G times the first k of them as they were, plus itself as it was if it
+    lies below them.  One ``_mulmod`` per chunk of the columns right of
+    the panel applies that record.  Every entry is the one that the
+    elimination one pivot at a time gives.
     """
     m, n = M.shape
     r = 0
     pivots = []
-    for c in range(n):
+    for c0 in range(0, n, _PANEL):
         if r == m:
             break
-        nz = r + np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
+        c1 = min(c0 + _PANEL, n)
+        w = c1 - c0
+        # the panel of the rows from r, then G
+        work = np.zeros((m - r, w + min(w, m - r)), dtype=np.int64)
+        work[:, :w] = M[r:, c0:c1]
+        k = 0
+        for c in range(w):
+            if r + k == m:
+                break
+            nz = k + np.nonzero(work[k:, c])[0]
+            if nz.size == 0:
+                continue
+            i = int(nz[0])
+            if i != k:
+                # the row moved to i is zero in column c, so nz[1:] stays
+                # the rows below k that are nonzero there
+                work[[k, i]] = work[[i, k]]
+                M[[r + k, r + i]] = M[[r + i, r + k]]
+            work[k, w + k] = 1
+            prow = work[k, c:w + k + 1]
+            prow *= pow(int(prow[0]), p - 2, p)
+            prow %= p
+            below = nz[1:]
+            if below.size:
+                t = work[below, c:w + k + 1] - np.outer(work[below, c], prow)
+                t -= (t // p) * p
+                work[below, c:w + k + 1] = t
+            pivots.append(c0 + c)
+            k += 1
+        if not k:
             continue
-        i = int(nz[0])
-        if i != r:
-            # the row moved to i is zero in column c, so nz[1:] stays the
-            # rows below r that are nonzero there
-            M[[r, i]] = M[[i, r]]
-        prow = M[r, c:]
-        prow *= pow(int(prow[0]), p - 2, p)
-        prow %= p
-        below = nz[1:]
-        if below.size:
-            M[below, c:] = (M[below, c:] - np.outer(M[below, c], prow)) % p
-        pivots.append(c)
-        r += 1
+        M[r:, c0:c1] = work[:, :w]
+        G = work[:, w:w + k]
+        for s in range(c1, n, _CHUNK):
+            X = M[r:, s:s + _CHUNK]
+            Y = _mulmod(G, X[:k], p)
+            low = Y[k:]
+            low += X[k:]
+            low -= (low >= p) * p
+            X[...] = Y
+        r += k
     return pivots
 
 

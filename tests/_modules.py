@@ -9,10 +9,14 @@ helpers build non-split-looking modules whose characters must still add.
 products, the oracle for the row assembly of `search.assemble_constraints`.
 `reference_solve_t` solves the factorization system over scalar rows, the
 oracle for the integer array that `transfer.solve_t` assembles.
+`reference_modp_echelon` eliminates modulo p one pivot at a time, the
+oracle for the blocked elimination of `exact.linalg._modp_echelon`.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from peterweyl.errors import PreconditionError
 from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
@@ -200,3 +204,30 @@ def reference_solve_t(p):
         return res
     return TensorElement(grp, 4, {lp + rp: v for ((lp, _), (rp, _)), v
                                   in zip(cols, res.particular) if v})
+
+
+def reference_modp_echelon(M, p):
+    """`_modp_echelon` one pivot at a time: in-place forward elimination of
+    an int64 matrix of residues mod p, each pivot row scaled to 1 and the
+    rows below it cleared across their whole width; returns the pivots."""
+    m, n = M.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = r + np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        prow = M[r, c:]
+        prow *= pow(int(prow[0]), p - 2, p)
+        prow %= p
+        below = nz[1:]
+        if below.size:
+            M[below, c:] = (M[below, c:] - np.outer(M[below, c], prow)) % p
+        pivots.append(c)
+        r += 1
+    return pivots

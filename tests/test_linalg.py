@@ -30,6 +30,7 @@ from peterweyl.exact.linalg import (
 from peterweyl.exact.scalars import Cyclotomic, RatFun
 
 from _gen import rand_frac, rand_nonzero_frac
+from _modules import reference_modp_echelon
 
 
 def F(a, b=1):
@@ -640,6 +641,82 @@ def test_modp_rref_matches_full_width_elimination(system):
         assert _modp_read(M, p, pivots, n) == expect[:k, n].tolist()
     else:
         assert _modp_read(M, p, pivots, n) == expect[k - 1, n + 1:].tolist()
+
+
+@st.composite
+def _wide_tracked_modp_systems(draw):
+    """(A | b | I) mod p with up to 40 rows and 330 columns of A, so that
+    the elimination crosses panels (64 columns) and, past 320 columns,
+    chunks of the trailing update.  Hypothesis draws p, the shape, the
+    density, runs of zero columns, a staircase of leading zeros, the
+    extra rows (row i + k * row j; k = 0 repeats row i) and whether
+    b = A x is solvable; a generator seeded by it draws the entries,
+    weighted toward 0, 1 and p - 1, the row order and x."""
+    p = draw(st.sampled_from([7, _primes31()[0]]))
+    m = draw(st.integers(1, 31))
+    n = draw(st.integers(1, 120) | st.integers(280, 330))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.where(rng.random((m, n)) < 0.5, rng.integers(0, p, (m, n)),
+                 np.array([0, 1, p - 1])[rng.integers(0, 3, (m, n))])
+    A[rng.random((m, n)) > draw(st.sampled_from([0.05, 0.3, 1.0]))] = 0
+    for start, width in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                st.integers(1, 80)),
+                                      max_size=3)):
+        A[:, start:start + width] = 0
+    if draw(st.booleans()):
+        for row, lead in zip(A, rng.integers(0, n + 1, m)):
+            row[:lead] = 0
+    rows = A.tolist()
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                           st.integers(0, m - 1),
+                                           st.integers(0, p - 1)),
+                                 max_size=8)):
+        rows.append([(a + k * b) % p for a, b in zip(rows[i], rows[j])])
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    x = rng.integers(0, p, n).tolist()
+    rows = [r + [sum(map(mul, r, x)) % p] for r in rows]
+    feasible = draw(st.booleans())
+    if not feasible:
+        i = draw(st.integers(0, len(rows) - 1))
+        extra = rows[i][:-1] + [(rows[i][-1] + draw(st.integers(1, p - 1))) % p]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    m = len(rows)
+    track = [r + [int(i == k) for k in range(m)] for i, r in enumerate(rows)]
+    return np.array(track, dtype=np.int64), p, n, feasible
+
+
+@given(_wide_tracked_modp_systems())
+def test_blocked_modp_echelon_matches_one_pivot_at_a_time(system):
+    # the panels and their trailing updates leave the pivots and every
+    # entry of the elimination one pivot at a time, and the vector read
+    # off it is the full RREF's
+    M, p, n, feasible = system
+    expect = M.copy()
+    expect_pivots = reference_modp_echelon(expect, p)
+    full = M.copy()
+    full_pivots = _oracle_modp_rref(full, p)
+    pivots = _modp_echelon(M, p)
+    assert pivots == expect_pivots == full_pivots
+    assert np.array_equal(M, expect)
+    k = sum(c <= n for c in pivots)
+    assert (n not in pivots) == feasible
+    if feasible:
+        assert _modp_read(M, p, pivots, n) == full[:k, n].tolist()
+    else:
+        assert _modp_read(M, p, pivots, n) == full[k - 1, n + 1:].tolist()
+
+
+def test_modp_product_is_exact_at_the_float64_bound():
+    # a full panel of the largest residue p - 1 times residues with the
+    # largest high half (p - 1) and the largest low half (0x7ffeffff):
+    # each float64 sum is then as large as the kernel ever makes it
+    p = _primes31()[0]
+    G = np.full((2, linalg._PANEL), p - 1, dtype=np.int64)
+    X = np.array([[p - 1, 2**31 - 2**16 - 1, 0, 1]] * linalg._PANEL,
+                 dtype=np.int64)
+    expect = [[sum(int(g) * int(x) for g, x in zip(row, col)) % p
+               for col in X.T] for row in G]
+    assert linalg._mulmod(G, X, p).tolist() == expect
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ from peterweyl.transfer import (
     unit_p,
 )
 
-from _modules import reference_solve_t
+from _modules import reference_modp_echelon, reference_solve_t
 
 
 def random_two_tensor(grp, rng, terms=6):
@@ -367,6 +367,26 @@ def test_s3_family_system_is_eliminated_modulo_one_prime(monkeypatch):
     monkeypatch.setattr(linalg, "_modp_echelon", recording)
     assert isinstance(solve_t(s3_family(F(3, 2), F(-7, 3))), Infeasible)
     assert primes == [linalg._primes31()[0]]
+
+
+def test_s3_family_modp_elimination_matches_one_pivot_at_a_time(monkeypatch):
+    # the 216 x 1513 tracked system spans many panels and column chunks;
+    # the blocked elimination leaves every entry the reference leaves
+    modp_echelon = linalg._modp_echelon
+    seen = []
+
+    def recording(M, p):
+        start = M.copy()
+        pivots = modp_echelon(M, p)
+        seen.append((start, p, pivots, M.copy()))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_modp_echelon", recording)
+    solve_t(s3_family(F(3, 2), F(-7, 3)))
+    [(start, p, pivots, result)] = seen
+    assert start.shape == (216, 1513)
+    assert reference_modp_echelon(start, p) == pivots
+    assert np.array_equal(start, result)
 
 
 def test_v4_bicharacter_t_is_pinned():
