@@ -373,39 +373,30 @@ def _solve_exact(rows, b):
 # ---------------------------------------------------------------------------
 
 _PRIME_COUNT = 220
-
-
-def _is_prime(n: int) -> bool:
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in small:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# [2^31 - _PRIME_WINDOW, 2^31) holds 279 primes, more than _PRIME_COUNT
+_PRIME_WINDOW = 6000
 
 
 @lru_cache(maxsize=None)
 def _primes31() -> tuple:
-    """The _PRIME_COUNT largest primes below 2^31, descending."""
-    primes = []
-    c = 2**31 - 1
-    while len(primes) < _PRIME_COUNT:
-        if _is_prime(c):
-            primes.append(c)
-        c -= 2
+    """The _PRIME_COUNT largest primes below 2^31, descending.
+
+    A segmented sieve of Eratosthenes: every prime up to sqrt(2^31) strikes
+    its multiples from the window [2^31 - _PRIME_WINDOW, 2^31), and the
+    window lies above all of them, so no base prime strikes itself.
+    """
+    lo = 2**31 - _PRIME_WINDOW
+    base = np.ones(isqrt(2**31) + 1, dtype=bool)
+    base[:2] = False
+    for d in range(2, isqrt(base.size - 1) + 1):
+        if base[d]:
+            base[d * d::d] = False
+    window = np.ones(_PRIME_WINDOW, dtype=bool)
+    for d in np.flatnonzero(base):
+        window[-lo % d::d] = False
+    primes = (lo + np.flatnonzero(window)[::-1][:_PRIME_COUNT]).tolist()
+    if len(primes) < _PRIME_COUNT:
+        raise InternalError("the prime window holds too few primes")
     return tuple(primes)
 
 

@@ -357,6 +357,34 @@ def character_table(group: Group):
     return table
 
 
+@lru_cache(maxsize=None)
+def _tensor_constituents(group: Group) -> dict:
+    """{(i, j): ((k, N), ...)} for i <= j: the constituents of V_i (x) V_j.
+
+    Indices are positions in ``character_table``; each irreducible V_k
+    occurs N > 0 times, in table order.  The multiplicities come from
+    ``decompose_character`` of chi_i chi_j, and the sum of N chi_k must give
+    back chi_i chi_j exactly, or InternalError is raised.  The returned
+    dict is shared by every caller and must not be changed.
+    """
+    table = character_table(group)
+    index = {label: k for k, (label, _) in enumerate(table)}
+    out = {}
+    for i, (_, chi_i) in enumerate(table):
+        for j in range(i, len(table)):
+            product = chi_i * table[j][1]
+            parts = tuple(sorted(
+                (index[label], m) for label, m in
+                decompose_character(group, product).multiplicities.items()))
+            if sum((table[k][1] * m for k, m in parts),
+                   Functional.zero(group)) != product:
+                raise InternalError(
+                    "the constituents of %s (x) %s miss their character"
+                    % (table[i][0], table[j][0]))
+            out[i, j] = parts
+    return out
+
+
 # ---------------------------------------------------------------------------
 # decomposition and Grothendieck classes
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .hopf import (
     apply_antipode,
     apply_delta,
     class_indicator_subspace,
-    convolve,
     embed,
     multiply_adjacent,
     orbit_sum,
@@ -56,7 +55,11 @@ from .hopf import (
     tensor,
 )
 from .pw import translate_span
-from .reps import character_table, decompose_character
+from .reps import (
+    _tensor_constituents,
+    character_table,
+    decompose_character,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -223,9 +226,11 @@ def _image_block(t: TensorElement, chi: Functional) -> Subspace:
 def _multiplicativity(t: TensorElement):
     """in_m's witnesses, and the phi-image block of each simple.
 
-    The block of V (x) W is read off its character, the convolution of
-    the characters of V and W.  Characters convolve pointwise, so (V, W)
-    and (W, V) share one target block.
+    The block of V (x) W is the sum of the blocks C(U) of its constituents
+    U (Peter-Weyl; Curtis-Reiner, sections 3 and 9), so its image, the
+    target of (V, W), is spanned by the image blocks of the constituents
+    that ``reps._tensor_constituents`` names.  Pairs with the same set of
+    constituents share one target, and (V, W) and (W, V) share theirs.
     """
     grp = t.group
     labels, chars = zip(*character_table(grp))
@@ -233,8 +238,14 @@ def _multiplicativity(t: TensorElement):
     elements = [[AlgebraElement(grp, dict(enumerate(row)))
                  for row in block.basis] for block in blocks]
     k = len(chars)
-    targets = {(i, j): _image_block(t, convolve(chars[i], chars[j]))
-               for i in range(k) for j in range(i, k)}
+    sums = {}
+    targets = {}
+    for pair, parts in _tensor_constituents(grp).items():
+        ks = tuple(u for u, _ in parts)
+        if ks not in sums:
+            sums[ks] = Subspace(grp.order, [row for u in ks
+                                            for row in blocks[u].basis])
+        targets[pair] = sums[ks]
     witnesses = []
     for i, j in itertools.product(range(k), repeat=2):
         target = targets[min(i, j), max(i, j)]
@@ -260,17 +271,19 @@ def in_m0(p) -> bool:
     It asks that phi(z_V z_W) = phi(z_V) phi(z_W) for the irreducible
     characters and that every phi(z_V) is central.  M0 does not require
     phi(eps) = 1, so a non-unital map such as the one of the zero tensor
-    passes.
+    passes.  z_V z_W is the sum of N z_U over the constituents U of
+    V (x) W, so phi, being linear, sends it to the sum of N phi(z_U).
     """
     t = _tensor_of(p)
-    zs = [chi for _, chi in character_table(t.group)]
-    imgs = [phi(t, zi) for zi in zs]
+    grp = t.group
+    imgs = [phi(t, chi) for _, chi in character_table(grp)]
     if not all(_is_central(img) for img in imgs):
         return False
-    for i, zi in enumerate(zs):
-        for j in range(i, len(zs)):
-            if phi(t, convolve(zi, zs[j])) != imgs[i] * imgs[j]:
-                return False
+    for (i, j), parts in _tensor_constituents(grp).items():
+        lhs = AlgebraElement(grp, [(g, c * m) for u, m in parts
+                                   for g, c in imgs[u].terms.items()])
+        if lhs != imgs[i] * imgs[j]:
+            return False
     return True
 
 

@@ -11,6 +11,11 @@ products, the oracle for the row assembly of `search.assemble_constraints`.
 oracle for the integer array that `transfer.solve_t` assembles.
 `reference_modp_echelon` eliminates modulo p one pivot at a time, the
 oracle for the blocked elimination of `exact.linalg._modp_echelon`.
+`reference_multiplicativity` builds each target of M from the translate
+span of a convolved character and each left side of M0 from its image,
+the oracle for the constituent table of `transfer._multiplicativity` and
+`transfer.in_m0`.  `is_prime` is a Miller-Rabin test, the oracle for the
+sieve of `exact.linalg._primes31`.
 """
 
 import itertools
@@ -22,10 +27,22 @@ from peterweyl.errors import PreconditionError
 from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
 from peterweyl.exact.polysys import Poly, PolySystem
 from peterweyl.groups import Group, same_group
-from peterweyl.hopf import TensorElement, apply_delta, convolve, embed
+from peterweyl.hopf import (
+    AlgebraElement,
+    TensorElement,
+    apply_delta,
+    convolve,
+    embed,
+)
 from peterweyl.reps import Rep, character_table
 from peterweyl.search import a_basis
-from peterweyl.transfer import _distinct_maps, phi
+from peterweyl.transfer import (
+    _distinct_maps,
+    _image_block,
+    _is_central,
+    _tensor_of,
+    phi,
+)
 
 _F0 = Fraction(0)
 
@@ -231,3 +248,53 @@ def reference_modp_echelon(M, p):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def reference_multiplicativity(p):
+    """in_m's witnesses, the phi-image blocks and in_m0's verdict, with the
+    target of each pair (V, W) the image of the translate span of
+    z_V z_W, and the left side of M0 phi(z_V z_W) itself."""
+    t = _tensor_of(p)
+    grp = t.group
+    labels, chars = zip(*character_table(grp))
+    blocks = [_image_block(t, chi) for chi in chars]
+    elements = [[AlgebraElement(grp, dict(enumerate(row)))
+                 for row in block.basis] for block in blocks]
+    k = len(chars)
+    targets = {(i, j): _image_block(t, convolve(chars[i], chars[j]))
+               for i in range(k) for j in range(i, k)}
+    witnesses = []
+    for i, j in itertools.product(range(k), repeat=2):
+        target = targets[min(i, j), max(i, j)]
+        if not all(target.contains((x * y).to_vector())
+                   for x in elements[i] for y in elements[j]):
+            witnesses.append((labels[i], labels[j]))
+    imgs = [phi(t, chi) for chi in chars]
+    m0 = (all(_is_central(img) for img in imgs)
+          and all(phi(t, convolve(chars[i], chars[j])) == imgs[i] * imgs[j]
+                  for i in range(k) for j in range(i, k)))
+    return tuple(witnesses), blocks, m0
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the twelve prime bases up to 37, exact for
+    n < 3.3 * 10^24."""
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in small:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peterweyl.cli import main
-from peterweyl.groups import cyclic, symmetric
+from peterweyl.groups import cyclic, parse_group, symmetric
 from peterweyl.hopf import tensor_to_json
-from peterweyl.transfer import regular_p, unit_p
+from peterweyl.transfer import PCandidate, bicharacter_r, regular_p, unit_p
 from peterweyl.uqsl2 import c_q
 
 
@@ -142,6 +142,69 @@ def test_decompose_rejects_degenerate_candidate(tmp_path):
                  "--lambda", "0", "--mu", "1",
                  "--out", str(tmp_path / "d.json")])
     assert code == 3
+
+
+# sha256 of the `verify` and `decompose` artifacts of four S3-family
+# points, the Z4 and Z2xZ2xZ2 bicharacters and regular_p(D6), whose
+# M_witnesses must keep their order.  The candidate files are written into
+# the working directory, so each config's p_file is a bare file name.  A
+# None digest: the command exits 3 and writes no artifact.
+TRANSFER_ARTIFACTS = {
+    ("verify", "s3:-2/3:-2"): (
+        0, "45070788f29b5713013782ff2f8327de5d14031e2f4b72130e597f0f61f286f8"),
+    ("decompose", "s3:-2/3:-2"): (
+        0, "7c5c5599266d2b1730cf97a6d00d35b3b32a893c518cc0255689371d72cb6311"),
+    ("verify", "s3:7/2:-8"): (
+        0, "6e9400a565b62fbddb2205c16cdd09dff4f1c518381e732e53e4926490e13e73"),
+    ("decompose", "s3:7/2:-8"): (
+        0, "75ad0834c11c0c9a911b785870017947bffe0b6241b76f3c1f82849c0cf34e22"),
+    ("verify", "s3:0:1"): (
+        1, "7ff002da6bb66374cc178481cb76e03b3a0f0dae4e4a03896fe2f984c73bd4f2"),
+    ("decompose", "s3:0:1"): (3, None),
+    ("verify", "s3:1:0"): (
+        0, "0a0145f61cb10702ac137ecd4f535834e6ffbd21fec916ea298b9017eecee0d9"),
+    ("decompose", "s3:1:0"): (3, None),
+    ("verify", "bichar:Z4"): (
+        0, "f7c6b6d2401605c12be11bc9746533a4269f766f801fa67d8d3fae51ac40444c"),
+    ("decompose", "bichar:Z4"): (
+        0, "406cf1dd84b1739cf2da6697a266ffd076db01405f5f2836760ad7b0842c8151"),
+    ("verify", "bichar:Z2xZ2xZ2"): (
+        0, "96112649ad07452af42f21b82d8a85190c0ab78bc883e9848cd91c9e46dec5d2"),
+    ("decompose", "bichar:Z2xZ2xZ2"): (
+        0, "4cf2faf486919253ada3f1ae139dbe20baf26373a6d53c1412f01bc36f90e510"),
+    ("verify", "regular:D6"): (
+        1, "74b7b919e5b5305effaf40f399d9dce97d63858c3669d72675f0fe1528053043"),
+}
+
+
+def _candidate_argv(source):
+    """--group and the candidate of a pinned source, writing its --p-file."""
+    kind, token, *point = source.split(":")
+    if kind == "s3":
+        return ["--group", "S3", "--family", "s3",
+                "--lambda=" + token, "--mu=" + point[0]]
+    grp = parse_group(token)
+    cand = (PCandidate(bicharacter_r(grp), "bicharacter") if kind == "bichar"
+            else regular_p(grp))
+    pfile = "%s-%s.json" % (kind, token)
+    with open(pfile, "w") as fh:
+        fh.write(json.dumps({"note": cand.note,
+                             "tensor": tensor_to_json(cand.tensor)}))
+    return ["--group", token, "--p-file", pfile]
+
+
+@pytest.mark.parametrize("command, source", list(TRANSFER_ARTIFACTS),
+                         ids=["-".join(k) for k in TRANSFER_ARTIFACTS])
+def test_transfer_artifacts_are_pinned(tmp_path, monkeypatch, command,
+                                       source):
+    monkeypatch.chdir(tmp_path)
+    rc, digest = TRANSFER_ARTIFACTS[command, source]
+    assert main([command, *_candidate_argv(source), "--out", "a.json"]) == rc
+    out = tmp_path / "a.json"
+    if digest is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from peterweyl.exact.linalg import (
 from peterweyl.exact.scalars import Cyclotomic, RatFun
 
 from _gen import rand_frac, rand_nonzero_frac
-from _modules import reference_modp_echelon
+from _modules import is_prime, reference_modp_echelon
 
 
 def F(a, b=1):
@@ -261,6 +261,11 @@ def test_prime_list_is_prime_distinct_descending():
     assert len(set(primes)) == 220
     assert all(a > b for a, b in zip(primes, primes[1:]))
     assert primes[0] == 2**31 - 1
+    # the whole table is the descending run of primes below 2^31, so the
+    # sieve skips none: Miller-Rabin on every odd number builds it again
+    reference = [c for c in range(2**31 - 1, primes[-1] - 1, -2)
+                 if is_prime(c)]
+    assert primes == tuple(reference)
     for p in primes[:10]:
         d = 3
         assert p % 2

@@ -11,7 +11,12 @@ from math import factorial
 
 import pytest
 
-from peterweyl.errors import PreconditionError, RealizabilityError
+from peterweyl import reps as reps_module
+from peterweyl.errors import (
+    InternalError,
+    PreconditionError,
+    RealizabilityError,
+)
 from peterweyl.exact.linalg import Matrix
 from peterweyl.exact.scalars import Cyclotomic
 from peterweyl.groups import (
@@ -23,7 +28,15 @@ from peterweyl.groups import (
     product,
     symmetric,
 )
-from peterweyl.reps import K0Element, Rep, character_table, decompose, irreps
+from peterweyl.pw import character_structure_constants
+from peterweyl.reps import (
+    K0Element,
+    Rep,
+    _tensor_constituents,
+    character_table,
+    decompose,
+    irreps,
+)
 
 from _modules import (
     coboundary,
@@ -374,6 +387,40 @@ def test_equal_groups_share_one_cache_entry():
     assert twin is not grp
     assert irreps(twin) is irreps(grp)
     assert character_table(twin) is character_table(grp)
+
+
+def test_tensor_constituents_match_the_structure_constants():
+    # pairing with the characters and solving on the character basis must
+    # name the same constituents of V (x) W with the same multiplicities;
+    # S5 is there for its constituents of multiplicity 2
+    for token in ("S3", "D4", "Z4", "S4", "S5"):
+        grp = parse_group(token)
+        labels = [label for label, _ in character_table(grp)]
+        consts = character_structure_constants(grp)
+        table = _tensor_constituents(grp)
+        assert list(table) == [(i, j) for i in range(len(labels))
+                               for j in range(i, len(labels))]
+        for (i, j), parts in table.items():
+            assert [k for k, _ in parts] == sorted(k for k, _ in parts)
+            assert all(type(m) is int and m > 0 for _, m in parts)
+            for a, b in ((i, j), (j, i)):
+                assert {labels[k]: m for k, m in parts} \
+                    == consts[labels[a], labels[b]]
+
+
+def test_tensor_constituents_must_rebuild_the_product(monkeypatch):
+    grp = parse_group("S3")
+    real = reps_module.decompose_character
+
+    def dropping(group, chi):
+        terms = dict(real(group, chi).multiplicities)
+        del terms[min(terms)]
+        return K0Element(group, terms)
+
+    _tensor_constituents.cache_clear()
+    monkeypatch.setattr(reps_module, "decompose_character", dropping)
+    with pytest.raises(InternalError):
+        _tensor_constituents(grp)
 
 
 def test_realizability_errors():

@@ -82,7 +82,11 @@ from peterweyl.transfer import (
     unit_p,
 )
 
-from _modules import reference_modp_echelon, reference_solve_t
+from _modules import (
+    reference_modp_echelon,
+    reference_multiplicativity,
+    reference_solve_t,
+)
 
 
 def random_two_tensor(grp, rng, terms=6):
@@ -280,6 +284,53 @@ def test_unit_candidate_is_character_multiplicative():
     assert in_m0(unit_p(symmetric(3)))
     ok, witnesses = in_m(unit_p(symmetric(3)))
     assert ok and witnesses == ()
+
+
+def _oracle_candidates():
+    points = [(F(3, 2), F(-7, 3)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1)),
+              (F(-2, 3), F(-2))]
+    yield from (s3_family(lam, mu) for lam, mu in points)
+    for token in ("S3", "D4", "D6", "Z3xS3", "Z2xZ2xZ2", "Z4", "S4"):
+        grp = parse_group(token)
+        yield unit_p(grp)
+        yield regular_p(grp)
+
+
+def _agrees_with_the_convolution_targets(cand):
+    witnesses, blocks, m0 = reference_multiplicativity(cand)
+    assert transfer._multiplicativity(cand.tensor) == (witnesses, blocks)
+    assert in_m0(cand) == m0
+    return witnesses, m0
+
+
+def test_constituent_targets_agree_with_the_convolution_targets():
+    verdicts = [_agrees_with_the_convolution_targets(cand)
+                for cand in _oracle_candidates()]
+    # the list reaches witnesses, several at once, and both M0 verdicts
+    assert max(len(w) for w, _ in verdicts) > 1
+    assert {m0 for _, m0 in verdicts} == {False, True}
+
+
+def test_character_multiplicativity_counts_repeated_constituents():
+    # phi of the unit tensor sends z_U to dim U, so M0 holds only if the
+    # left side counts each constituent with its multiplicity, which is 2
+    # for p311 in p32 (x) p311 on S5
+    assert in_m0(unit_p(symmetric(5)))
+
+
+@settings(max_examples=15)
+@given(st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 5))] * 2),
+       st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5),
+                             st.builds(F, st.integers(1, 9),
+                                       st.integers(1, 9))))
+def test_constituent_targets_agree_on_family_draws(point, bump):
+    # a bump term moves a point off the family, where M0 mostly fails
+    cand = s3_family(*point)
+    if bump is not None:
+        a, b, c = bump
+        cand = PCandidate(cand.tensor + TensorElement(
+            cand.group, 2, {(a, b): c}), "perturbed")
+    _agrees_with_the_convolution_targets(cand)
 
 
 # ---------------------------------------------------------------------------
