@@ -26,11 +26,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 from . import __version__
 from .errors import ParseError, PeterWeylError, PreconditionError
 from .exact.scalars import scalar_from_str
-from .groups import parse_group, same_group
+from .groups import parse_group
 from .hopf import tensor_from_json, tensor_to_json
 from .search import search as run_search
 from .transfer import (
@@ -153,7 +154,7 @@ def _candidate_from_file(path: str, group) -> PCandidate:
         cand = PCandidate(tens, note or os.path.basename(path))
     except (PeterWeylError, KeyError, TypeError, ValueError) as exc:
         raise _InputError("%s does not hold a two-slot tensor: %s" % (path, exc))
-    if group is not None and not same_group(cand.group, group):
+    if group is not None and cand.group != group:
         raise _InputError("tensor in %s lives over a different group" % path)
     return cand
 
@@ -186,7 +187,7 @@ def _load_candidate(args, group) -> PCandidate:
         lam = _parse_scalar(args.lam, "--lambda")
         mu = _parse_scalar(args.mu, "--mu")
         cand = s3_family(lam, mu)
-        if group is not None and not same_group(cand.group, group):
+        if group is not None and cand.group != group:
             raise _InputError("--family s3 only lives over the group S3")
         return cand
     if getattr(args, "p_file", None):
@@ -408,6 +409,7 @@ def _add_candidate_options(sub) -> None:
                      help="JSON file holding a two-slot tensor")
 
 
+@lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="peterweyl",

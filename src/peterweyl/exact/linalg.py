@@ -4,34 +4,30 @@ Everything is computed exactly; there is no numeric tolerance anywhere.
 float64 appears only inside the mod-p elimination, as a container for
 integers below 2^53, which it holds exactly.
 
-``solve_linear`` has two routes to the same canonical answer, chosen by
-the scalar type of the system, and each yields either the particular
-solution or an infeasibility certificate:
+``solve_linear`` has one route per scalar type, and each yields either
+the particular solution or an infeasibility certificate:
 
 * a modular route for every system whose entries are all ``int`` or
   ``Fraction``, and for an int64 ``numpy`` array A with int b: forward
-  elimination modulo each prime of a fixed, deterministic list of 31-bit
-  primes (in column panels, each applied to the columns right of it by
-  float64 matrix products), then the one row or column the candidate
-  needs, Chinese remaindering, rational reconstruction, and a mandatory
-  exact verification of the candidate (solution or infeasibility
-  certificate);
-* an exact route for systems over Q(zeta_n) or Q(v), and the fallback of
-  the modular one: field Gauss-Jordan elimination with the first-nonzero
-  pivot rule.
+  elimination modulo each prime of a descending stream of 31-bit primes
+  (in column panels, each applied to the columns right of it by float64
+  matrix products), then the one row or column the candidate needs,
+  Chinese remaindering, rational reconstruction, and a mandatory exact
+  verification of the candidate (solution or infeasibility certificate);
+* an exact route for systems over Q(zeta_n) or Q(v): field Gauss-Jordan
+  elimination with the first-nonzero pivot rule.
 
 A rational system already has its common variant, so only other mixes go
 through ``unify``.  Its rows are cleared of denominators one by one into
 one integer array (int64, or ``object`` past 63 bits); an int64 array is
 already that form and skips the type scan.  Clearing scales each row, so
 the solutions are the same and a certificate is scaled row by row.  The
-modular route tries a candidate after the first prime, and after each
-failed try doubles the number of agreeing primes before the next one
-(1, 2, 4, ...), so a system whose answer has small entries is solved
-modulo one prime.  It can never return a wrong answer: every candidate is
-checked with exact integer arithmetic against the integer rows, after its
-own denominators are cleared, and if no candidate passes, the exact route
-runs over the integer rows instead.
+modular route keeps the structure with the most pivots, and of those the
+lexicographically smallest list: the one over Q once a prime shows it.
+It tries a candidate after 1, 2, 4, ... primes of that structure, so a
+system whose answer has small entries is solved modulo one prime, and it
+never returns a wrong answer: every candidate is checked with exact
+integer arithmetic against the integer rows, its denominators cleared.
 
 ``nullspace`` reads a kernel basis off one RREF of the rows.
 """
@@ -270,6 +266,10 @@ def solve_linear(A, b):
     int64 ``numpy`` array with b a sequence of ints.  Rows of ints and
     Fractions, and such an array, take the modular route; the answer of
     an array is the one of its rows as Fractions.
+
+    A modular candidate is verified to solve the system, not to be the
+    RREF answer, so a prime dividing a pivot can break canonicality: with
+    p = 2^31 - 1, ``solve_linear([[p, 1]], [1])`` returns (0, 1), not (1/p, 0).
     """
     if isinstance(A, np.ndarray) and A.dtype == np.int64:
         if A.ndim != 2:
@@ -303,15 +303,7 @@ def solve_linear(A, b):
         except OverflowError:
             base = np.array(cleared, dtype=object)
         rows, b = base[:, :n], base[:, n].tolist()
-    res = _solve_modular(rows, b, scales)
-    if res is None:
-        # the integer rows have the same RREF; a certificate y' of theirs
-        # gives y_k = scales[k] y'_k
-        res = _solve_exact([list(map(Fraction, r)) for r in rows.tolist()],
-                           list(map(Fraction, b)))
-        if isinstance(res, Infeasible):
-            res = Infeasible(map(mul, res.certificate, scales))
-    return res
+    return _solve_modular(rows, b, scales)
 
 
 def nullspace(rows, ncols: int):
@@ -372,32 +364,35 @@ def _solve_exact(rows, b):
 # modular fast route
 # ---------------------------------------------------------------------------
 
-_PRIME_COUNT = 220
-# [2^31 - _PRIME_WINDOW, 2^31) holds 279 primes, more than _PRIME_COUNT
-_PRIME_WINDOW = 6000
+_PRIME_WINDOW = 6000  # the first window, [2^31 - 6000, 2^31), holds 279 primes
 
 
 @lru_cache(maxsize=None)
-def _primes31() -> tuple:
-    """The _PRIME_COUNT largest primes below 2^31, descending.
+def _prime_window(i: int) -> tuple:
+    """The primes of [2^31 - (i + 1) W, 2^31 - i W), W = _PRIME_WINDOW, cut
+    at 2^30, descending.
 
     A segmented sieve of Eratosthenes: every prime up to sqrt(2^31) strikes
-    its multiples from the window [2^31 - _PRIME_WINDOW, 2^31), and the
-    window lies above all of them, so no base prime strikes itself.
+    its multiples from the window, and the window lies above all of them,
+    so no base prime strikes itself.
     """
-    lo = 2**31 - _PRIME_WINDOW
+    hi = 2**31 - i * _PRIME_WINDOW
+    lo = max(hi - _PRIME_WINDOW, 2**30)
     base = np.ones(isqrt(2**31) + 1, dtype=bool)
     base[:2] = False
     for d in range(2, isqrt(base.size - 1) + 1):
         if base[d]:
             base[d * d::d] = False
-    window = np.ones(_PRIME_WINDOW, dtype=bool)
+    window = np.ones(hi - lo, dtype=bool)
     for d in np.flatnonzero(base):
         window[-lo % d::d] = False
-    primes = (lo + np.flatnonzero(window)[::-1][:_PRIME_COUNT]).tolist()
-    if len(primes) < _PRIME_COUNT:
-        raise InternalError("the prime window holds too few primes")
-    return tuple(primes)
+    return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
+
+
+def _primes31():
+    """The primes of [2^30, 2^31), descending, each window sieved once."""
+    for i in range(-(-2**30 // _PRIME_WINDOW)):
+        yield from _prime_window(i)
 
 
 def _rat_reconstruct(a: int, mmod: int):
@@ -550,12 +545,13 @@ def _modp_read(E: np.ndarray, p: int, pivots, n: int):
 
 
 def _solve_modular(A, b, scales):
-    """Deterministic modular solve with exact verification; None on failure.
+    """Deterministic modular solve with exact verification.
 
     A is an integer array (int64, or ``object`` past 63 bits) and b a list
     of ints, and row k of (A | b) is scales[k] times row k of the system
     solved: the same solutions, and a certificate y' of (A | b) gives the
-    certificate y_k = scales[k] y'_k.
+    certificate y_k = scales[k] y'_k.  Raises InternalError only if no
+    candidate verifies before the 31-bit primes run out.
     """
     m, n = A.shape
     # (A | b | I) mod p, refilled in place for each prime
@@ -572,10 +568,10 @@ def _solve_modular(A, b, scales):
         track[diag] = 1
         piv = _modp_echelon(track, p)
         st = tuple(c for c in piv if c <= n)
-        if structure is None or len(st) > len(structure):
-            # rank can only drop modulo a bad prime, so the structure with
-            # the most pivots is the plausible one; keep the richest and
-            # start its schedule afresh
+        if structure is None or (-len(st), st) < (-len(structure), structure):
+            # the rank of each leading block of columns can only drop mod
+            # p, so the pivots over Q are the most and, of as many, each is
+            # at most its counterpart: once seen they are never displaced
             structure, used, tries_at = st, [], 1
         elif st != structure:
             # primes showing another structure are discarded as bad
@@ -587,7 +583,7 @@ def _solve_modular(A, b, scales):
         if result is not None:
             return result
         tries_at *= 2
-    return None
+    raise InternalError("no candidate verified modulo the 31-bit primes")
 
 
 def _combine(used, k):

@@ -67,7 +67,7 @@ class Group(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Group):
             return NotImplemented
-        return same_group(self, other)
+        return self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
@@ -180,10 +180,6 @@ class Group(Frozen):
 def _descriptor_key(descriptor: dict) -> str:
     """Canonical JSON of a descriptor: equal groups have equal keys."""
     return json.dumps(descriptor, sort_keys=True)
-
-
-def same_group(a: Group, b: Group) -> bool:
-    return a is b or a.key == b.key
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .exact.scalars import (
     scalar_to_str,
     unify,
 )
-from .groups import Group, from_descriptor, same_group
+from .groups import Group, from_descriptor
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -179,7 +179,7 @@ class TensorElement(Terms):
         return TensorElement(self.group, self.arity, terms)
 
     def _mismatch(self, other):
-        if not same_group(self.group, other.group):
+        if self.group != other.group:
             raise PreconditionError("tensors over different group algebras")
         raise DimensionError("tensor arity mismatch")
 
@@ -226,7 +226,7 @@ def tensor(*factors) -> TensorElement:
         raise PreconditionError("tensor of zero factors")
     group = factors[0].group
     for f in factors[1:]:
-        if not same_group(group, f.group):
+        if group != f.group:
             raise PreconditionError("tensors over different group algebras")
     terms = {(): _F1}
     for f in factors:
@@ -319,7 +319,7 @@ def embed(x: TensorElement, arity: int, slots) -> TensorElement:
 
 def contract(x: TensorElement, xi: "Functional", slot: int):
     """Pair one slot against a functional; arity drops by 1 (or to a scalar)."""
-    if not same_group(x.group, xi.group):
+    if x.group != xi.group:
         raise PreconditionError("functional over a different group algebra")
     if not 0 <= slot < x.arity:
         raise DimensionError("slot out of range")
@@ -366,7 +366,7 @@ class Functional(Frozen):
         if isinstance(x, int):
             return self.values[x]
         if isinstance(x, AlgebraElement):
-            if not same_group(self.group, x.group):
+            if self.group != x.group:
                 raise PreconditionError("pairing across different groups")
             acc = _F0
             for i, c in x.terms.items():
@@ -377,7 +377,7 @@ class Functional(Frozen):
     def __add__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        if not same_group(self.group, other.group):
+        if self.group != other.group:
             raise PreconditionError("functionals over different groups")
         return Functional(self.group,
                           [a + b for a, b in zip(self.values, other.values)])
@@ -404,7 +404,7 @@ class Functional(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        return (same_group(self.group, other.group)
+        return (self.group == other.group
                 and all(a == b for a, b in zip(self.values, other.values)))
 
     def __hash__(self):
@@ -425,7 +425,7 @@ def convolve(xi: Functional, eta: Functional) -> Functional:
 
     (xi . eta)(g) = xi(g_(1)) eta(g_(2)) = xi(g) eta(g) since g is group-like.
     """
-    if not same_group(xi.group, eta.group):
+    if xi.group != eta.group:
         raise PreconditionError("functionals over different groups")
     return Functional(xi.group,
                       [a * b for a, b in zip(xi.values, eta.values)])
@@ -491,7 +491,7 @@ def act(action: str, h, b):
         out = Functional.zero(b.group)
     else:
         raise PreconditionError("cannot act on %r" % (b,))
-    if not same_group(h.group, b.group):
+    if h.group != b.group:
         raise PreconditionError("action across different groups")
     for g, c in h.terms.items():
         out = out + _act_basis(action, g, b) * c

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .errors import DimensionError, InternalError, PreconditionError
 from .exact.linalg import Infeasible, Subspace, solve_linear
 from .exact.scalars import Frozen
-from .groups import Group, same_group
+from .groups import Group
 from .hopf import Functional, convolve
 from .reps import Rep, irreps, pairing
 
@@ -98,7 +98,7 @@ def z_multiplicative_check(v: Rep, w: Rep) -> bool:
 
 def product_component_check(v: Rep, w: Rep) -> bool:
     """Is the convolution span of two components the tensor component?"""
-    if not same_group(v.group, w.group):
+    if v.group != w.group:
         raise PreconditionError("representations of different groups")
     grp = v.group
     cv = component(v)

@@ -32,7 +32,7 @@ from .exact.scalars import (
     collect,
     promote_like,
 )
-from .groups import Group, from_descriptor, same_group
+from .groups import Group, from_descriptor
 from .hopf import Functional
 
 _F0 = Fraction(0)
@@ -97,7 +97,7 @@ class Rep(Frozen):
         return Functional(self.group, [m.trace() for m in self.matrices])
 
     def tensor(self, other: "Rep") -> "Rep":
-        if not same_group(self.group, other.group):
+        if self.group != other.group:
             raise PreconditionError("representations of different groups")
         mats = [a.kron(b) for a, b in zip(self.matrices, other.matrices)]
         return Rep(self.group, mats, "%s(x)%s" % (self.label, other.label))
@@ -108,7 +108,7 @@ class Rep(Frozen):
     def __eq__(self, other):
         if not isinstance(other, Rep):
             return NotImplemented
-        return (same_group(self.group, other.group)
+        return (self.group == other.group
                 and self.matrices == other.matrices)
 
     def __hash__(self):
@@ -449,13 +449,16 @@ def decompose_character(grp: Group, chi) -> K0Element:
     """Multiplicities of the irreducible characters inside a class function.
 
     The input is any functional on the group; pairing it with each
-    irreducible character must produce nonnegative integers.
+    irreducible character must produce nonnegative integers.  A character
+    is constant on classes, so each pairing takes one product per class.
     """
+    pairs = [(sum(map(chi, c[1:]), chi(c[0])), grp.inverse(c[0]))
+             for c in grp.conjugacy_classes()]
     mult = {}
     for label, chi_w in character_table(grp):
         acc = None
-        for g in range(grp.order):
-            term = chi(g) * chi_w(grp.inverse(g))
+        for s, g in pairs:
+            term = s * chi_w(g)
             acc = term if acc is None else acc + term
         m = _as_rational(acc) / grp.order
         if m.denominator != 1 or m < 0:

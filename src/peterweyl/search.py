@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exact.polysys import Poly, PolySystem, buchberger
 from .exact.scalars import Frozen
-from .groups import Group, diagonal_conjugation_orbits, same_group
+from .groups import Group, diagonal_conjugation_orbits
 from .hopf import AlgebraElement, TensorElement, convolve
 from .reps import character_table
 from .transfer import (
@@ -336,7 +336,7 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
             else candidate
         _require(isinstance(tens, TensorElement) and tens.arity == 2,
                  "verify_only needs a two-slot tensor")
-        _require(same_group(tens.group, group),
+        _require(tens.group == group,
                  "candidate lives over a different group")
         ok, failed = full_verify(tens)
         note = candidate.note if isinstance(candidate, PCandidate) \

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact.linalg import Infeasible, Matrix, Subspace, solve_linear
 from .exact.scalars import Frozen, _clear, as_scalar, scalar_to_str
-from .groups import Group, same_group
+from .groups import Group
 from .hopf import (
     AlgebraElement,
     Functional,
@@ -104,7 +104,7 @@ def _tensor_of(p) -> TensorElement:
 def phi(p, xi: Functional) -> AlgebraElement:
     """(xi (x) 1)(P): pair the first slot with xi, keep the second."""
     t = _tensor_of(p)
-    if not same_group(t.group, xi.group):
+    if t.group != xi.group:
         raise PreconditionError("functional and tensor over different groups")
     return AlgebraElement(t.group, ((b, c * xi.values[a])
                                     for (a, b), c in t.terms.items()
@@ -400,7 +400,7 @@ def check_t_normalized(t4: TensorElement) -> bool:
 def r_failures(rplus: TensorElement, rminus: TensorElement):
     """Names of the violated axioms for the pair (R+, R-), empty if none."""
     grp = rplus.group
-    if not same_group(grp, rminus.group):
+    if grp != rminus.group:
         raise PreconditionError("the pair must live over one group")
     fails = []
     for name, r in (("plus", rplus), ("minus", rminus)):

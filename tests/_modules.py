@@ -14,8 +14,11 @@ oracle for the blocked elimination of `exact.linalg._modp_echelon`.
 `reference_multiplicativity` builds each target of M from the translate
 span of a convolved character and each left side of M0 from its image,
 the oracle for the constituent table of `transfer._multiplicativity` and
-`transfer.in_m0`.  `is_prime` is a Miller-Rabin test, the oracle for the
-sieve of `exact.linalg._primes31`.
+`transfer.in_m0`.  `reference_decompose_character` pairs a functional
+with each irreducible character over every element, the oracle for the
+pairing by conjugacy class of `reps.decompose_character`.  `is_prime` is
+a Miller-Rabin test, the oracle for the prime stream of
+`exact.linalg._primes31`.
 """
 
 import itertools
@@ -26,7 +29,7 @@ import numpy as np
 from peterweyl.errors import PreconditionError
 from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
 from peterweyl.exact.polysys import Poly, PolySystem
-from peterweyl.groups import Group, same_group
+from peterweyl.groups import Group
 from peterweyl.hopf import (
     AlgebraElement,
     TensorElement,
@@ -34,7 +37,7 @@ from peterweyl.hopf import (
     convolve,
     embed,
 )
-from peterweyl.reps import Rep, character_table
+from peterweyl.reps import K0Element, Rep, _as_rational, character_table
 from peterweyl.search import a_basis
 from peterweyl.transfer import (
     _distinct_maps,
@@ -53,7 +56,7 @@ def trivial_rep(group: Group) -> Rep:
 
 def direct_sum(v: Rep, w: Rep) -> Rep:
     """V (+) W, with block-diagonal matrices."""
-    if not same_group(v.group, w.group):
+    if v.group != w.group:
         raise PreconditionError("representations of different groups")
     mats = []
     for a, b in zip(v.matrices, w.matrices):
@@ -69,7 +72,7 @@ def intertwiners(v: Rep, w: Rep):
     X intertwines exactly when w(g) X = X v(g) on the group generators;
     the nullspace of that linear system is returned as matrices.
     """
-    if not same_group(v.group, w.group):
+    if v.group != w.group:
         raise PreconditionError("representations of different groups")
     unknowns = w.dim * v.dim
     rows = []
@@ -145,7 +148,7 @@ def extension_by_cocycle(v: Rep, w: Rep, rho) -> Rep:
     V embeds as a submodule, W is the quotient.  Raises ValueError when
     rho is not a cocycle.
     """
-    if not same_group(v.group, w.group):
+    if v.group != w.group:
         raise PreconditionError("representations of different groups")
     if not cocycle_check(v, w, rho):
         raise ValueError("the given map violates the cocycle identity")
@@ -274,6 +277,21 @@ def reference_multiplicativity(p):
           and all(phi(t, convolve(chars[i], chars[j])) == imgs[i] * imgs[j]
                   for i in range(k) for j in range(i, k)))
     return tuple(witnesses), blocks, m0
+
+
+def reference_decompose_character(grp: Group, chi) -> K0Element:
+    """Multiplicities of the irreducible characters in a functional, each
+    the pairing (1/|G|) sum over g of chi(g) chi_w(g^-1)."""
+    mult = {}
+    for label, chi_w in character_table(grp):
+        acc = sum((chi(g) * chi_w(grp.inverse(g)) for g in range(grp.order)),
+                  _F0)
+        m = _as_rational(acc) / grp.order
+        if m.denominator != 1 or m < 0:
+            raise PreconditionError("not a multiplicity: %s" % m)
+        if m:
+            mult[label] = int(m)
+    return K0Element(grp, mult)
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peterweyl.cli import main
+from peterweyl.cli import main, make_parser
 from peterweyl.groups import cyclic, parse_group, symmetric
 from peterweyl.hopf import tensor_to_json
 from peterweyl.transfer import PCandidate, bicharacter_r, regular_p, unit_p
@@ -423,6 +423,29 @@ def test_input_errors_exit_two(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["kind"] in ("input", "parse")
+
+
+def test_shared_parser_keeps_the_error_paths(tmp_path, capsys):
+    # main reuses one parser; usage errors, bad values and a good run
+    # between them leave each error one JSON line and exit code 2
+    assert make_parser() is make_parser()
+    cases = [["verify", "--group", "S3", "--x-flag"],
+             ["verify"],
+             ["search", "--group", "S3", "--strategy", "random",
+              "--count", "0"],
+             ["verify", "--group", "S3", "--family", "s3",
+              "--lambda", "1/0", "--mu", "1"],
+             ["bogus"]]
+    out = str(tmp_path / "groups.json")
+    for _ in range(2):
+        for argv in cases:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1, argv
+            assert json.loads(captured.err)["error"]["kind"] == "input", argv
+        assert main(["groups", "list", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("field, value", [

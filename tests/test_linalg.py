@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain, islice
 from math import lcm
 from operator import mul
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peterweyl.errors import DimensionError
+from peterweyl.errors import DimensionError, InternalError
 from peterweyl.exact import linalg
 from peterweyl.exact.linalg import (
     Infeasible,
@@ -20,6 +21,7 @@ from peterweyl.exact.linalg import (
     _dot,
     _modp_echelon,
     _modp_read,
+    _prime_window,
     _primes31,
     _rat_reconstruct,
     _solve_exact,
@@ -255,17 +257,26 @@ def _forbid_exact_route(monkeypatch):
     monkeypatch.setattr(linalg, "_solve_exact", exact)
 
 
+def _primes_from_window(i):
+    """A stream of the primes from window i on, in place of _primes31."""
+    return lambda: chain.from_iterable(map(_prime_window, range(i, i + 9)))
+
+
 def test_prime_list_is_prime_distinct_descending():
-    primes = _primes31()
-    assert len(primes) == 220
-    assert len(set(primes)) == 220
+    # the first 600 primes span the first three windows
+    primes = list(islice(_primes31(), 600))
+    assert len(_prime_window(0)) + len(_prime_window(1)) < 600
+    assert len(set(primes)) == 600
     assert all(a > b for a, b in zip(primes, primes[1:]))
     assert primes[0] == 2**31 - 1
-    # the whole table is the descending run of primes below 2^31, so the
-    # sieve skips none: Miller-Rabin on every odd number builds it again
+    # the stream is the descending run of primes below 2^31, so the sieve
+    # skips none, across the window boundaries too: Miller-Rabin on every
+    # odd number builds it again
     reference = [c for c in range(2**31 - 1, primes[-1] - 1, -2)
                  if is_prime(c)]
-    assert primes == tuple(reference)
+    assert primes == reference
+    # its first 220 are the fixed table that the route drew from before
+    assert primes[219] == 2147478919
     for p in primes[:10]:
         d = 3
         assert p % 2
@@ -274,10 +285,20 @@ def test_prime_list_is_prime_distinct_descending():
             d += 2
 
 
+def test_prime_stream_ends_at_two_to_the_thirty():
+    last = -(-2**30 // linalg._PRIME_WINDOW) - 1
+    lo = 2**31 - (last + 1) * linalg._PRIME_WINDOW
+    assert lo < 2**30 < lo + linalg._PRIME_WINDOW
+    window = _prime_window(last)
+    assert list(window) == [c for c in range(lo + linalg._PRIME_WINDOW - 1,
+                                             2**30, -2) if is_prime(c)]
+    assert window[-1] == 2**30 + 3
+
+
 def test_rational_reconstruction_round_trip():
     rng = random.Random(205)
     m = 1
-    for p in _primes31()[:3]:
+    for p in islice(_primes31(), 3):
         m *= p
     for _ in range(500):
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
@@ -364,18 +385,71 @@ def test_int64_arrays_take_the_modular_route(monkeypatch):
     assert kinds == {"feasible", "infeasible"}
 
 
-def test_int64_array_falls_back_to_the_exact_route(monkeypatch):
-    monkeypatch.setattr(linalg, "_primes31", lambda: ())
-    for rows, b in _int_systems(random.Random(213)):
+def test_int64_array_answer_does_not_depend_on_the_primes(monkeypatch):
+    # from a later window on the stream gives other primes, and the same
+    # answers as the exact route
+    systems = _int_systems(random.Random(213))
+    want = [_solve_exact([[F(x) for x in r] for r in rows], [F(x) for x in b])
+            for rows, b in systems]
+    _forbid_exact_route(monkeypatch)
+    monkeypatch.setattr(linalg, "_primes31", _primes_from_window(3))
+    for (rows, b), slow in zip(systems, want):
         fast = solve_linear(np.array(rows, dtype=np.int64), b)
-        slow = _solve_exact([[F(x) for x in r] for r in rows],
-                            [F(x) for x in b])
         assert type(fast) is type(slow)
         values = (fast.certificate if isinstance(fast, Infeasible)
                   else fast.particular)
         assert all(type(v) is Fraction for v in values)
         assert values == (slow.certificate if isinstance(slow, Infeasible)
                           else slow.particular)
+
+
+def _counting_eliminations(monkeypatch):
+    modp_echelon = linalg._modp_echelon
+    primes = []
+
+    def counting(M, p):
+        primes.append(p)
+        return modp_echelon(M, p)
+
+    monkeypatch.setattr(linalg, "_modp_echelon", counting)
+    return primes
+
+
+def test_a_prime_dividing_a_pivot_is_displaced(monkeypatch):
+    # modulo p = 2^31 - 1 the system [p 0] x = 1 looks infeasible with the
+    # same number of pivots; the next prime shows the earlier pivot, and
+    # 1/p needs three primes to reconstruct
+    _forbid_exact_route(monkeypatch)
+    primes = _counting_eliminations(monkeypatch)
+    p = 2**31 - 1
+    assert solve_linear([[p, 0]], [1]).particular == (F(1, p), F(0))
+    assert len(primes) <= 5
+    assert solve_linear(np.array([[p, 0]], dtype=np.int64),
+                        [1]).particular == (F(1, p), F(0))
+
+
+def test_more_primes_are_drawn_until_the_candidate_verifies(monkeypatch):
+    # 2^2170 + 1 needs about 140 primes; the try after 128 fails and the
+    # next one, after 256, succeeds
+    _forbid_exact_route(monkeypatch)
+    primes = _counting_eliminations(monkeypatch)
+    x = 2**2170 + 1
+    assert solve_linear([[1]], [x]).particular == (x,)
+    assert len(primes) <= 256
+    assert primes == list(islice(_primes31(), len(primes)))
+
+
+def test_useless_primes_raise_internal_error(monkeypatch):
+    # every prime of the stream divides the only pivot, or the stream ends
+    # before the answer can be reconstructed
+    _forbid_exact_route(monkeypatch)
+    p, q, r = islice(_primes31(), 3)
+    monkeypatch.setattr(linalg, "_primes31", lambda: iter([p, q, r]))
+    with pytest.raises(InternalError):
+        solve_linear([[p * q * r, 0]], [1])
+    monkeypatch.setattr(linalg, "_primes31", lambda: islice(_primes31(), 20))
+    with pytest.raises(InternalError):
+        solve_linear([[1]], [2**2170 + 1])
 
 
 def test_int64_array_shape_is_checked():
@@ -516,7 +590,7 @@ def test_modular_route_survives_a_bad_first_prime(monkeypatch, feasible):
     # row 1 is row 0 plus p e_3 for the first prime p, so the rank drops
     # modulo p: the candidate tried after that one prime must be rejected
     # and the answer must still be the reference one
-    p = _primes31()[0]
+    p = next(_primes31())
     rng = random.Random(210)
     m, n = 80, 124
     rows = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(m)]
@@ -548,7 +622,7 @@ def test_modular_route_rejects_an_answer_that_holds_only_modulo_p(
     # p + 1 is 1 modulo the first prime p, so the candidate tried after one
     # prime (x = 1, or the certificate (-1, 1)) holds modulo p but not over
     # Q; verification must reject it, and more primes give the exact answer
-    p = _primes31()[0]
+    p = next(_primes31())
     if feasible:
         rows, b = [[F(1)]], [F(p + 1)]
     else:
@@ -592,7 +666,7 @@ def _oracle_modp_rref(M, p):
 @st.composite
 def _modp_matrices(draw):
     """A matrix mod p with zero columns, repeated rows and dependent rows."""
-    p = draw(st.sampled_from([7, _primes31()[0]]))
+    p = draw(st.sampled_from([7, next(_primes31())]))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 9))
     entry = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
@@ -657,7 +731,7 @@ def _wide_tracked_modp_systems(draw):
     extra rows (row i + k * row j; k = 0 repeats row i) and whether
     b = A x is solvable; a generator seeded by it draws the entries,
     weighted toward 0, 1 and p - 1, the row order and x."""
-    p = draw(st.sampled_from([7, _primes31()[0]]))
+    p = draw(st.sampled_from([7, next(_primes31())]))
     m = draw(st.integers(1, 31))
     n = draw(st.integers(1, 120) | st.integers(280, 330))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -715,7 +789,7 @@ def test_modp_product_is_exact_at_the_float64_bound():
     # a full panel of the largest residue p - 1 times residues with the
     # largest high half (p - 1) and the largest low half (0x7ffeffff):
     # each float64 sum is then as large as the kernel ever makes it
-    p = _primes31()[0]
+    p = next(_primes31())
     G = np.full((2, linalg._PANEL), p - 1, dtype=np.int64)
     X = np.array([[p - 1, 2**31 - 2**16 - 1, 0, 1]] * linalg._PANEL,
                  dtype=np.int64)

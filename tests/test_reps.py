@@ -28,6 +28,7 @@ from peterweyl.groups import (
     product,
     symmetric,
 )
+from peterweyl.hopf import Functional
 from peterweyl.pw import character_structure_constants
 from peterweyl.reps import (
     K0Element,
@@ -35,6 +36,7 @@ from peterweyl.reps import (
     _tensor_constituents,
     character_table,
     decompose,
+    decompose_character,
     irreps,
 )
 
@@ -45,6 +47,7 @@ from _modules import (
     end_dim,
     extension_by_cocycle,
     hom_dim,
+    reference_decompose_character,
     trivial_rep,
     zero_cocycle,
 )
@@ -421,6 +424,29 @@ def test_tensor_constituents_must_rebuild_the_product(monkeypatch):
     monkeypatch.setattr(reps_module, "decompose_character", dropping)
     with pytest.raises(InternalError):
         _tensor_constituents(grp)
+
+
+@pytest.mark.parametrize("token", ["S3", "D4", "D5", "Z4", "Z3xS3", "S4",
+                                   "S5"])
+def test_decompose_character_pairs_by_class(token):
+    # one product per class gives the multiplicities of the pairing over
+    # every element: for each product of two irreducible characters, and
+    # in a nonabelian group, for a functional that is no class function
+    # but has the same sum over each class
+    grp = parse_group(token)
+    chars = [chi for _, chi in character_table(grp)]
+    functionals = [chars[i] * chars[j] for i in range(len(chars))
+                   for j in range(i, len(chars))]
+    for cls in grp.conjugacy_classes():
+        if len(cls) > 1:
+            shifted = list(functionals[-1].values)
+            shifted[cls[0]] += 1
+            shifted[cls[1]] -= 1
+            functionals.append(Functional(grp, shifted))
+            break
+    for chi in functionals:
+        assert decompose_character(grp, chi) \
+            == reference_decompose_character(grp, chi)
 
 
 def test_realizability_errors():

@@ -24,7 +24,6 @@ from peterweyl.groups import (
     cyclic,
     dihedral,
     parse_group,
-    same_group,
     symmetric,
 )
 from peterweyl.hopf import AlgebraElement, TensorElement
@@ -55,7 +54,7 @@ from peterweyl.transfer import (
 
 def _coords_of(basis: ABasis, t: TensorElement):
     """Coordinates of an invariant tensor; constant on every orbit."""
-    if not same_group(t.group, basis.group) or t.arity != 2:
+    if t.group != basis.group or t.arity != 2:
         raise PreconditionError(
             "coordinates need a two-slot tensor over the same group")
     coords = []

@@ -20,6 +20,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction as F
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -417,7 +418,7 @@ def test_s3_family_system_is_eliminated_modulo_one_prime(monkeypatch):
 
     monkeypatch.setattr(linalg, "_modp_echelon", recording)
     assert isinstance(solve_t(s3_family(F(3, 2), F(-7, 3))), Infeasible)
-    assert primes == [linalg._primes31()[0]]
+    assert primes == [next(linalg._primes31())]
 
 
 def test_s3_family_modp_elimination_matches_one_pivot_at_a_time(monkeypatch):
@@ -576,26 +577,33 @@ def test_solve_t_falls_back_to_scalar_rows_past_int64(monkeypatch):
     _assert_same_answer(res, reference_solve_t(cand))
 
 
-def test_integer_assembly_survives_the_exact_fallback(monkeypatch):
-    # with no primes the array route falls back to Gauss-Jordan elimination
-    # over the array's entries as Fractions; the answers and the Z2xZ2 pin
-    # must not change.  A 216 x 1296 S3 system takes minutes that way, so
-    # the systems here are the small ones.
+def _no_exact_route(rows, b):
+    raise AssertionError("a rational system took the exact route")
+
+
+def test_integer_assembly_answer_does_not_depend_on_the_primes(monkeypatch):
+    # a stream that starts at a later window gives other primes; the
+    # answers, the Z2xZ2 pin and the S3-family pin must not change
     grp = parse_group("Z2xZ2")
     cands = [unit_p(symmetric(3)), _bicharacter_candidate(grp),
              PCandidate(TensorElement(grp, 2, {(0, 1): F(3, 2),
-                                               (2, 3): F(-5, 7)}), "sparse")]
+                                               (2, 3): F(-5, 7)}), "sparse"),
+             s3_family(F(3, 2), F(-7, 3))]
     want = [solve_t(cand) for cand in cands]
-    monkeypatch.setattr(linalg, "_primes31", lambda: ())
+    monkeypatch.setattr(linalg, "_solve_exact", _no_exact_route)
+    monkeypatch.setattr(linalg, "_primes31", lambda: chain.from_iterable(
+        map(linalg._prime_window, range(3, 12))))
     kinds = _recording_solve_linear(monkeypatch)
     got = [solve_t(cand) for cand in cands]
-    assert kinds == [np.ndarray] * 3
+    assert kinds == [np.ndarray] * 4
     assert isinstance(got[2], Infeasible)
     for g, w in zip(got, want):
         _assert_same_answer(g, w)
     terms = sorted((k, str(v)) for k, v in got[1].terms.items())
     assert _sha256(repr(terms)) == (
         "355ce715b59bc644a1ece77df5eded3d1fcacbeab6382bf544b7bfa7e29032e5")
+    assert _sha256(",".join(str(y) for y in got[3].certificate)) == (
+        "acdd2f2cdc3c7d66833dee14dced14d45ea75f19dbc0f29b296633cde72521a3")
 
 
 def _fourier_feasible(grp, coeffs):
