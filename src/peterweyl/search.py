@@ -12,11 +12,13 @@ system is built from them, also once per group, only where it is read.
 Three search strategies share one outcome type:
 
 * verify_only re-runs the full predicate stack on one supplied candidate;
-* random_sampling draws small-height rational coordinate vectors, filters
-  them over the rows of the quadratic system, checks each survivor against
-  the polynomial system and fully re-verifies it, after first trying the
-  known structured constructions (unit, bicharacter pair, the
-  symmetric-group family);
+* random_sampling draws small-height rational coordinate vectors from a
+  seeded generator in blocks, drops the draws that fail the quadratic
+  system modulo a prime (int64 arrays over integral rows), filters the
+  rest exactly over the rows, checks each survivor against the polynomial
+  system and fully re-verifies it, after first trying the known
+  structured constructions (unit, bicharacter pair, the symmetric-group
+  family);
 * groebner runs a capped completion on the system, optionally extended by
   a t*det - 1 equation encoding bijectivity for very small groups, and
   reports infeasibility only on a certified reduction of 1.
@@ -32,6 +34,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+import numpy as np
 
 from .errors import (
     InternalError,
@@ -244,6 +248,129 @@ def _violates(group: Group, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the random draws and their filter modulo a prime
+# ---------------------------------------------------------------------------
+
+_BLOCK = 128
+# the filter's prime, 2^31 - 1: residues below 2^31, products below 2^62
+_P = 2**31 - 1
+# every denominator divides D = lcm(1..20) < 2^28, so |n_k| = |a| D/b < 2^33
+# for |a| <= 20; sum_k n_k c_kg then stays below 2^63 when
+# sum_k |c_kg| < 2^30
+_D = lcm(*range(1, 21))
+_COLUMN_BOUND = 2**30
+
+
+def _taken(top):
+    """Indices of the words that randint takes, given each word's top byte.
+
+    With t = word >> 26 = top >> 2, a numerator takes the first word with
+    t < 41 (top <= 163), then a denominator the first with t < 40
+    (top < 160).  Every kept word (t <= 40) is taken but a t = 40 that
+    falls to a denominator.  After a t = 40 comes a denominator's word,
+    taken or not, and each word taken flips the role; so a t = 40 is
+    dropped when its distance, in kept words, to the t = 40 before it is
+    odd (the first one, when its index is odd).
+    """
+    kept = np.flatnonzero(top <= 163)
+    forty = np.flatnonzero(top[kept] >= 160)
+    return np.delete(kept, forty[np.diff(forty, prepend=-2) % 2 == 1])
+
+
+def _draw_blocks(rng, d, count):
+    """The draws of d (numerator, denominator) pairs, in blocks of arrays.
+
+    This follows CPython's randint algorithm: randint(a, b) is a + r for
+    the first r = getrandbits(k) below b - a + 1, k the bit length of that
+    width, and getrandbits(k), k <= 32, is the top k bits of one 32-bit
+    word of the generator.  So a numerator is -20 + (top >> 2) and a
+    denominator 1 + (top >> 3), over the top bytes of the words `_taken`
+    picks.  getrandbits(32 m) is the next m words, the first in the
+    lowest bits, so each block is read off a chunk of words, and the top
+    bytes it leaves start the next block.  Yields (numerators,
+    denominators), int64 arrays of shape (m, d), m = _BLOCK but for the
+    last; their rows are the draws [(rng.randint(-20, 20),
+    rng.randint(1, 20)) for _ in range(d)], in order.  The generator is
+    read past the last draw, so its state afterwards is not the one those
+    randint calls leave.
+    """
+    top = b""
+    for start in range(0, count, _BLOCK):
+        need = 2 * d * min(_BLOCK, count - start)
+        while len(taken := _taken(np.frombuffer(top, np.uint8))) < need:
+            # a value takes 64/41 or 64/40 words on average: ask for 13/8
+            m = (need - len(taken)) * 13 // 8 + 64
+            top += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        values = np.frombuffer(top, np.uint8)[taken[:need]].astype(np.int64)
+        top = top[taken[need - 1] + 1:]
+        values = values.reshape(-1, d, 2)
+        yield (values[:, :, 0] >> 2) - 20, (values[:, :, 1] >> 3) + 1
+
+
+@lru_cache(maxsize=None)
+def _modp_tables(group: Group):
+    """`_pair_tables` as int64 arrays for the filter modulo p, or None.
+
+    Per pair, the images u, w and L as (d, |G|) arrays, one array per
+    image that pairs share, and the index J with J[a, g] = a^-1 g, so
+    (left * right)[g] = sum_a left[a] right[J[a, g]].  None when a row is
+    not an int (a cyclotomic table) or the absolute values of a column
+    of an image sum to _COLUMN_BOUND.
+    """
+    n = group.order
+    arrays = {}
+    for images in itertools.chain.from_iterable(_pair_tables(group)):
+        if id(images) in arrays:
+            continue
+        m = np.zeros((len(images), n), dtype=np.int64)
+        column = [0] * n
+        for k, rows in enumerate(images):
+            for g, c in rows:
+                if type(c) is not int:
+                    return None
+                column[g] += abs(c)
+                if column[g] >= _COLUMN_BOUND:
+                    return None
+                m[k, g] = c
+        arrays[id(images)] = m
+    pairs = tuple(tuple(arrays[id(images)] for images in triple)
+                  for triple in _pair_tables(group))
+    index = np.zeros((n, n), dtype=np.intp)
+    for a, row in enumerate(group.table):
+        index[a, list(row)] = np.arange(n)
+    return index, pairs
+
+
+def _modp_alive(group: Group, numerators, denominators):
+    """Indices of the draws that satisfy the system modulo the prime _P.
+
+    The equations read as in `_violates`, cleared by D = _D for every
+    draw: D < _P is invertible modulo _P, so a draw that satisfies the
+    system over Q does too, and only draws that `_violates` would reject
+    are dropped.  n_k = a_k D/b_k is exact in int64, and so is each
+    combination under _COLUMN_BOUND; the convolution multiplies residues
+    below 2^31 and sums |G| of them, reduced.  Without int tables every
+    draw is kept.
+    """
+    tables = _modp_tables(group)
+    alive = np.arange(len(numerators))
+    if tables is None:
+        return alive
+    index, pairs = tables
+    nums = numerators * (_D // denominators)
+    for us, ws, ls in pairs:
+        terms = (nums @ ws % _P)[:, index]
+        terms *= (nums @ us % _P)[:, :, None]
+        terms %= _P
+        product = terms.sum(axis=1) % _P
+        ok = (product == nums @ ls % _P * _D % _P).all(axis=1)
+        alive, nums = alive[ok], nums[ok]
+        if not len(alive):
+            break
+    return alive
+
+
+# ---------------------------------------------------------------------------
 # search strategies
 # ---------------------------------------------------------------------------
 
@@ -328,7 +455,19 @@ def _require(condition, message):
 
 def search(group: Group, strategy: str, *, candidate=None, count=None,
            seed=17, degree_cap=6, step_cap=2000) -> SearchOutcome:
-    """Search for bijective strongly multiplicative admissible tensors."""
+    """Search for bijective strongly multiplicative admissible tensors.
+
+    random_sampling draws count points from random.Random(seed), d
+    (numerator, denominator) pairs each, by `_draw_blocks` in blocks of
+    _BLOCK.  `_modp_alive` drops the draws of a block that fail the
+    system modulo a prime; each remaining draw, in order, goes to the
+    exact `_violates`, and each survivor of that to the polynomial system
+    and `full_verify`.  A bool is no integer argument here.
+    """
+    for name, value in (("count", count), ("seed", seed),
+                        ("degree_cap", degree_cap), ("step_cap", step_cap)):
+        _require(not isinstance(value, bool),
+                 "%s must be an integer, not a bool" % name)
     if strategy == "verify_only":
         _require(candidate is not None,
                  "verify_only needs a candidate tensor")
@@ -365,27 +504,28 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
             else:
                 log.append("structured candidate %s failed %s"
                            % (cand.note, ", ".join(failed)))
-        rng = random.Random(seed)
-        d = len(basis)
         survivors = 0
-        for _ in range(count):
-            # (numerator, denominator) draws; Fractions only for survivors
-            draw = [(rng.randint(-20, 20), rng.randint(1, 20))
-                    for _ in range(d)]
-            if _violates(group, draw):
-                continue
-            survivors += 1
-            point = [Fraction(a, b) for a, b in draw]
-            # the system is built only once a draw survives
-            if not assemble_constraints(group).satisfied_by(point):
-                raise InternalError(
-                    "fast filter and polynomial system disagree")
-            cand = PCandidate(basis.to_tensor(point), "random draw")
-            ok, failed = full_verify(cand)
-            if ok:
-                candidates.append(cand)
-            else:
-                log.append("random survivor failed " + ", ".join(failed))
+        for nums, dens in _draw_blocks(random.Random(seed), len(basis),
+                                       count):
+            for i in _modp_alive(group, nums, dens):
+                # (numerator, denominator) draws; Fractions only for
+                # survivors
+                draw = list(zip(nums[i].tolist(), dens[i].tolist()))
+                if _violates(group, draw):
+                    continue
+                survivors += 1
+                point = [Fraction(a, b) for a, b in draw]
+                # the system is built only once a draw survives
+                if not assemble_constraints(group).satisfied_by(point):
+                    raise InternalError(
+                        "fast filter and polynomial system disagree")
+                cand = PCandidate(basis.to_tensor(point), "random draw")
+                ok, failed = full_verify(cand)
+                if ok:
+                    candidates.append(cand)
+                else:
+                    log.append("random survivor failed "
+                               + ", ".join(failed))
         log.append("random stage: %d draws, %d survivors" % (count,
                                                              survivors))
         verdict = "SolutionsFound" if candidates else "NoneFoundBounded"

@@ -18,15 +18,19 @@ the oracle for the constituent table of `transfer._multiplicativity` and
 with each irreducible character over every element, the oracle for the
 pairing by conjugacy class of `reps.decompose_character`.  `is_prime` is
 a Miller-Rabin test, the oracle for the prime stream of
-`exact.linalg._primes31`.
+`exact.linalg._primes31`.  `reference_random_sampling` is the random
+strategy with one `randint` pair per coordinate and `_violates` on every
+draw, the oracle for the blocks and the filter modulo a prime of
+`search.search`.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from peterweyl.errors import PreconditionError
+from peterweyl.errors import InternalError, PreconditionError
 from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
 from peterweyl.exact.polysys import Poly, PolySystem
 from peterweyl.groups import Group
@@ -38,8 +42,16 @@ from peterweyl.hopf import (
     embed,
 )
 from peterweyl.reps import K0Element, Rep, _as_rational, character_table
-from peterweyl.search import a_basis
+from peterweyl.search import (
+    SearchOutcome,
+    _structured_candidates,
+    _violates,
+    a_basis,
+    assemble_constraints,
+    full_verify,
+)
 from peterweyl.transfer import (
+    PCandidate,
     _distinct_maps,
     _image_block,
     _is_central,
@@ -292,6 +304,46 @@ def reference_decompose_character(grp: Group, chi) -> K0Element:
         if m:
             mult[label] = int(m)
     return K0Element(grp, mult)
+
+
+def reference_random_sampling(group: Group, count: int,
+                              seed: int) -> SearchOutcome:
+    """`search(group, "random_sampling", ...)` one draw at a time: d pairs
+    (rng.randint(-20, 20), rng.randint(1, 20)) per draw, each draw through
+    the exact `_violates`."""
+    basis = a_basis(group)
+    log = []
+    candidates = []
+    structured, slog = _structured_candidates(group)
+    log.extend(slog)
+    for cand in structured:
+        ok, failed = full_verify(cand)
+        if ok:
+            candidates.append(cand)
+        else:
+            log.append("structured candidate %s failed %s"
+                       % (cand.note, ", ".join(failed)))
+    rng = random.Random(seed)
+    survivors = 0
+    for _ in range(count):
+        draw = [(rng.randint(-20, 20), rng.randint(1, 20))
+                for _ in range(len(basis))]
+        if _violates(group, draw):
+            continue
+        survivors += 1
+        point = [Fraction(a, b) for a, b in draw]
+        if not assemble_constraints(group).satisfied_by(point):
+            raise InternalError("fast filter and polynomial system disagree")
+        cand = PCandidate(basis.to_tensor(point), "random draw")
+        ok, failed = full_verify(cand)
+        if ok:
+            candidates.append(cand)
+        else:
+            log.append("random survivor failed " + ", ".join(failed))
+    log.append("random stage: %d draws, %d survivors" % (count, survivors))
+    verdict = "SolutionsFound" if candidates else "NoneFoundBounded"
+    return SearchOutcome(verdict, candidates, samples=count,
+                         survivors=survivors, log=log)
 
 
 def is_prime(n: int) -> bool:

@@ -10,9 +10,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from _modules import reference_constraints
+from _modules import reference_constraints, reference_random_sampling
 from peterweyl import search as search_module
 from peterweyl.errors import (
     InternalError,
@@ -34,6 +35,9 @@ from peterweyl.search import (
     assemble_constraints,
     full_verify,
     search,
+    _draw_blocks,
+    _modp_alive,
+    _modp_tables,
     _symbolic_transfer_determinant,
     _violates,
 )
@@ -158,6 +162,14 @@ def _as_pairs(point):
             for x in point]
 
 
+def _kept_then_exact(grp, pairs):
+    """Whether a draw passes the filter modulo p and then `_violates`."""
+    nums = np.array([[a for a, _ in pairs]], dtype=np.int64)
+    dens = np.array([[b for _, b in pairs]], dtype=np.int64)
+    return len(_modp_alive(grp, nums, dens)) == 1 and not _violates(grp,
+                                                                    pairs)
+
+
 def test_fast_filter_agrees_with_the_system():
     # the filter must reject a point exactly when the system fails there;
     # cases are (group, point, expected verdict or None)
@@ -187,7 +199,11 @@ def test_fast_filter_agrees_with_the_system():
     seen = set()
     for grp, pt, expected in cases:
         satisfied = assemble_constraints(grp).satisfied_by(pt)
-        assert _violates(grp, _as_pairs(pt)) == (not satisfied)
+        pairs = _as_pairs(pt)
+        assert _violates(grp, pairs) == (not satisfied)
+        if all(type(a) is int for a, _ in pairs):
+            # the filter modulo p in front of `_violates` keeps the verdict
+            assert _kept_then_exact(grp, pairs) == satisfied
         assert expected in (None, satisfied)
         seen.add(satisfied)
     assert seen == {True, False}
@@ -334,7 +350,9 @@ def test_random_sampling_without_survivors_builds_no_polynomial_system():
 
 
 def test_a_survivor_the_system_rejects_is_an_internal_error(monkeypatch):
-    # force the filter to pass every draw: the first one is no solution
+    # force both filters to pass every draw: the first one is no solution
+    monkeypatch.setattr(search_module, "_modp_alive",
+                        lambda group, nums, dens: range(len(nums)))
     monkeypatch.setattr(search_module, "_violates", lambda group, point: False)
     with pytest.raises(InternalError,
                        match="fast filter and polynomial system disagree"):
@@ -388,9 +406,175 @@ def test_strategy_validation():
         search(s3, "groebner", step_cap=-1)
 
 
+@pytest.mark.parametrize("argument", ["count", "seed", "degree_cap",
+                                      "step_cap"])
+def test_bool_arguments_are_rejected(argument):
+    # a bool is an int to isinstance; count=True once gave "samples": true
+    s3 = symmetric(3)
+    for strategy in ("random_sampling", "groebner"):
+        kwargs = {"count": 1, argument: True}
+        with pytest.raises(StrategyError, match="not a bool"):
+            search(s3, strategy, **kwargs)
+
+
 def test_outcomes_are_immutable_and_validated():
     out = SearchOutcome("NoneFoundBounded")
     with pytest.raises(AttributeError):
         out.verdict = "SolutionsFound"
     with pytest.raises(InternalError):
         SearchOutcome("Maybe")
+
+
+# ---------------------------------------------------------------------------
+# the draws in blocks and the filter modulo a prime
+# ---------------------------------------------------------------------------
+
+_BLOCK = search_module._BLOCK
+
+
+def _randint_draws(rng, d, count):
+    return [[(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(d)]
+            for _ in range(count)]
+
+
+def _block_draws(blocks):
+    return [list(zip(nums, dens)) for a, b in blocks
+            for nums, dens in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("d", [1, 11, 44])
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+def test_draw_blocks_follow_randint(d, count):
+    for seed in (1, 4, 17):
+        blocks = list(_draw_blocks(random.Random(seed), d, count))
+        assert [a.shape for a, _ in blocks] == [
+            (min(_BLOCK, count - start), d)
+            for start in range(0, count, _BLOCK)]
+        assert _block_draws(blocks) == _randint_draws(
+            random.Random(seed), d, count)
+
+
+class _RejectingWords(random.Random):
+    """A generator whose 32-bit words randint mostly rejects.
+
+    Three words in four get the top six bits 63.  getrandbits keeps
+    CPython's contract, so randint reads the same words as the blocks, and
+    the blocks run short of words and must ask for more.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = random.Random(seed)
+
+    def word(self):
+        w = self.words.getrandbits(32)
+        return w | 0xFC000000 if w % 4 else w
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self.word() >> (32 - k)
+        return sum(self.word() << 32 * i for i in range(-(-k // 32)))
+
+
+def test_draw_blocks_ask_again_when_the_words_run_short():
+    for d, count in ((1, 3), (11, _BLOCK + 1), (44, 300)):
+        assert _block_draws(_draw_blocks(_RejectingWords(2), d, count)) == (
+            _randint_draws(_RejectingWords(2), d, count))
+
+
+def _seeded_blocks(grp, seed, count):
+    return list(_draw_blocks(random.Random(seed), len(a_basis(grp)), count))
+
+
+@pytest.mark.parametrize("token", ["Z1", "Z2xZ2", "S3", "D4", "D6", "S4"])
+def test_modp_filter_and_violates_agree_with_the_system(token):
+    grp = parse_group(token)
+    # S4's rows reach 12, the largest entry of the tested tables
+    index, _ = _modp_tables(grp)
+    assert all(grp.table[a][index[a, g]] == g
+               for a in range(grp.order) for g in range(grp.order))
+    system = assemble_constraints(grp)
+    seen = set()
+    for nums, dens in _seeded_blocks(grp, 3, 2 * _BLOCK + 5):
+        draws = [list(zip(a, b)) for a, b in zip(nums.tolist(),
+                                                 dens.tolist())]
+        kept = set(_modp_alive(grp, nums, dens).tolist())
+        for i, pairs in enumerate(draws[:20]):
+            satisfied = system.satisfied_by([F(a, b) for a, b in pairs])
+            assert (i in kept and not _violates(grp, pairs)) == satisfied
+            assert _kept_then_exact(grp, pairs) == satisfied
+            seen.add(satisfied)
+        # no draw here passes modulo p alone
+        assert kept == {i for i, pairs in enumerate(draws)
+                        if not _violates(grp, pairs)}
+    assert False in seen
+
+
+def test_modp_filter_keeps_known_solutions():
+    z1 = cyclic(1)
+    solutions = [list(zip(a, b)) for nums, dens in _seeded_blocks(z1, 5, 300)
+                 for a, b in zip(nums.tolist(), dens.tolist())
+                 if assemble_constraints(z1).satisfied_by(
+                     [F(x, y) for x, y in zip(a, b)])]
+    assert len(solutions) == 15
+    s3 = symmetric(3)
+    for lam, mu in ((1, 1), (2, 3), (-3, 5)):
+        coords = _coords_of(a_basis(s3), s3_family(F(lam), F(mu)).tensor)
+        assert assemble_constraints(s3).satisfied_by(list(coords))
+        solutions.append(_as_pairs(coords))
+    for pairs in solutions:
+        grp = z1 if len(pairs) == 1 else s3
+        assert _kept_then_exact(grp, pairs)
+
+
+def test_modp_convolution_is_exact_at_the_largest_residues(monkeypatch):
+    # one coordinate x = 1 whose images are -1 at every g: each residue of
+    # the combinations is p - D, so each of the six products of a sum is
+    # near 2^62, and (left * right)[g] = 6 D^2 = D (n L)[g] for L = 6
+    s3 = symmetric(3)
+    index, _ = _modp_tables(s3)
+    minus = np.full((1, 6), -1, dtype=np.int64)
+    for ell, kept in ((6, [0]), (7, [])):
+        ls = np.full((1, 6), ell, dtype=np.int64)
+        monkeypatch.setattr(search_module, "_modp_tables",
+                            lambda grp: (index, ((minus, minus, ls),)))
+        ones = np.ones((1, 1), dtype=np.int64)
+        assert _modp_alive(s3, ones, ones).tolist() == kept
+
+
+@pytest.mark.parametrize("token", ["Z3", "Z4"])
+def test_cyclotomic_tables_skip_the_modp_filter(token):
+    grp = parse_group(token)
+    assert _modp_tables(grp) is None
+    nums, dens = _seeded_blocks(grp, 1, 30)[0]
+    assert _modp_alive(grp, nums, dens).tolist() == list(range(30))
+
+
+def test_a_table_past_the_column_bound_skips_the_modp_filter(monkeypatch):
+    d4 = dihedral(4)
+    want = search(d4, "random_sampling", count=_BLOCK + 1, seed=2).to_json()
+    _modp_tables.cache_clear()
+    monkeypatch.setattr(search_module, "_COLUMN_BOUND", 2)
+    try:
+        assert _modp_tables(d4) is None
+        got = search(d4, "random_sampling", count=_BLOCK + 1, seed=2)
+    finally:
+        _modp_tables.cache_clear()
+    assert got.to_json() == want
+
+
+@pytest.mark.parametrize("token", ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "S3",
+                                   "D4", "D5", "D6"])
+def test_random_sampling_matches_the_per_draw_reference(token):
+    grp = parse_group(token)
+    for seed, count in ((1, _BLOCK - 1), (4, _BLOCK + 1), (5, 2 * _BLOCK)):
+        got = search(grp, "random_sampling", count=count, seed=seed)
+        want = reference_random_sampling(grp, count, seed)
+        assert got.to_json() == want.to_json()
+
+
+def test_random_sampling_survivors_match_the_per_draw_reference():
+    out = search(cyclic(1), "random_sampling", count=300, seed=5)
+    assert (out.survivors, len(out.candidates)) == (15, 12)
+    assert out.to_json() == reference_random_sampling(
+        cyclic(1), 300, 5).to_json()
