@@ -190,33 +190,13 @@ class UqElement(Terms):
 
     def antipode(self) -> "UqElement":
         """Anti-homomorphic extension of S(E) = -E K^-1, S(F) = -K F, S(K) = K^-1."""
-        se = -(UqElement.e() * UqElement.k(-1))
-        sf = -(UqElement.k() * UqElement.f())
-        out = UqElement.zero()
-        for (a, b, c), v in self.terms.items():
-            m = UqElement.one()
-            for _ in range(c):
-                m = m * se
-            m = m * UqElement.k(-b)
-            for _ in range(a):
-                m = m * sf
-            out = out + v * m
-        return out
+        return UqElement((key, v * c) for mono, v in self.terms.items()
+                         for key, c in _antipode_monomial(*mono).terms.items())
 
     def delta(self) -> "UqTensor":
         """Coproduct, extended multiplicatively from the generator images."""
-        de = UqTensor({((0, 0, 0), (0, 0, 1)): 1, ((0, 0, 1), (0, 1, 0)): 1})
-        df = UqTensor({((1, 0, 0), (0, 0, 0)): 1, ((0, -1, 0), (1, 0, 0)): 1})
-        out = UqTensor()
-        for (a, b, c), v in self.terms.items():
-            m = UqTensor.unit()
-            for _ in range(a):
-                m = m * df
-            m = m * UqTensor({((0, b, 0), (0, b, 0)): 1})
-            for _ in range(c):
-                m = m * de
-            out = out + v * m
-        return out
+        return UqTensor((key, v * c) for mono, v in self.terms.items()
+                        for key, c in _delta_monomial(*mono).terms.items())
 
     def to_json(self) -> dict:
         return {
@@ -284,8 +264,47 @@ class UqTensor(Terms):
         return "UqTensor(%d terms)" % len(self.terms)
 
 
+@lru_cache(maxsize=None)
+def _antipode_monomial(a: int, b: int, c: int) -> UqElement:
+    """S(F^a K^b E^c) = S(E)^c K^-b S(F)^a, built once per monomial."""
+    if a < 0 or c < 0:
+        raise PreconditionError("negative E or F exponent: %r" % ((a, b, c),))
+    se = -(UqElement.e() * UqElement.k(-1))
+    sf = -(UqElement.k() * UqElement.f())
+    m = UqElement.one()
+    for _ in range(c):
+        m = m * se
+    m = m * UqElement.k(-b)
+    for _ in range(a):
+        m = m * sf
+    return m
+
+
+@lru_cache(maxsize=None)
+def _delta_monomial(a: int, b: int, c: int) -> UqTensor:
+    """Delta(F^a K^b E^c) = Delta(F)^a (K^b (x) K^b) Delta(E)^c, built once
+    per monomial, with Delta(E) = 1 (x) E + E (x) K and
+    Delta(F) = F (x) 1 + K^-1 (x) F.
+    """
+    if a < 0 or c < 0:
+        raise PreconditionError("negative E or F exponent: %r" % ((a, b, c),))
+    de = UqTensor({((0, 0, 0), (0, 0, 1)): 1, ((0, 0, 1), (0, 1, 0)): 1})
+    df = UqTensor({((1, 0, 0), (0, 0, 0)): 1, ((0, -1, 0), (1, 0, 0)): 1})
+    m = UqTensor.unit()
+    for _ in range(a):
+        m = m * df
+    m = m * UqTensor({((0, b, 0), (0, b, 0)): 1})
+    for _ in range(c):
+        m = m * de
+    return m
+
+
 def adjoint(x: UqElement, y: UqElement) -> UqElement:
-    """Adjoint action sum x_(1) y S(x_(2)) through the coproduct of x."""
+    """Adjoint action sum x_(1) y S(x_(2)) through the coproduct of x.
+
+    Delta(x) and each S(x_(2)) are sums of the per-monomial images that
+    _delta_monomial and _antipode_monomial build once per process.
+    """
     out = UqElement.zero()
     for (m1, m2), cf in x.delta().terms.items():
         piece = UqElement.monomial(*m1) * y * UqElement.monomial(*m2).antipode()
@@ -376,7 +395,7 @@ def module(n: int) -> UqModule:
 # braiding data
 # ---------------------------------------------------------------------------
 #
-# The coproduct is stated once, in UqElement.delta.  Its matrices on a pair
+# The coproduct is stated once, in _delta_monomial.  Its matrices on a pair
 # of modules, and those of the opposite coproduct, are read off the terms
 # of delta() through act and built once per pair of labels.
 
@@ -522,7 +541,8 @@ def transferred_coefficient(n: int, i: int, j: int) -> UqElement:
     for l in range(max(0, i - j), i + 1):
         # k lies in [0, j], and F^k E^l sends v_i to a nonzero multiple of v_j
         k = l - (i - j)
-        gamma = mod.act(UqElement.monomial(k, 0, l))[j, i]
+        # the [j, i] entry of act(F^k E^l), in act's closed form
+        gamma = qrange(n - i + 1, l) * qrange(i - l + 1, k)
         coeff = (
             theta_exp.coeffs[k]
             * theta_exp.coeffs[l]

@@ -21,7 +21,9 @@ a Miller-Rabin test, the oracle for the prime stream of
 `exact.linalg._primes31`.  `reference_random_sampling` is the random
 strategy with one `randint` pair per coordinate and `_violates` on every
 draw, the oracle for the blocks and the filter modulo a prime of
-`search.search`.
+`search.search`.  `reference_delta` and `reference_antipode` extend the
+generator images one factor at a time for every term, the oracle for the
+per-monomial memo behind `UqElement.delta` and `UqElement.antipode`.
 """
 
 import itertools
@@ -58,6 +60,7 @@ from peterweyl.transfer import (
     _tensor_of,
     phi,
 )
+from peterweyl.uqsl2 import UqElement, UqTensor
 
 _F0 = Fraction(0)
 
@@ -368,3 +371,37 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def reference_delta(x: UqElement) -> UqTensor:
+    """Delta(x), each term F^a K^b E^c as Delta(F)^a (K^b (x) K^b) Delta(E)^c
+    by UqTensor products, one generator at a time."""
+    de = UqTensor({((0, 0, 0), (0, 0, 1)): 1, ((0, 0, 1), (0, 1, 0)): 1})
+    df = UqTensor({((1, 0, 0), (0, 0, 0)): 1, ((0, -1, 0), (1, 0, 0)): 1})
+    out = UqTensor()
+    for (a, b, c), v in x.terms.items():
+        m = UqTensor.unit()
+        for _ in range(a):
+            m = m * df
+        m = m * UqTensor({((0, b, 0), (0, b, 0)): 1})
+        for _ in range(c):
+            m = m * de
+        out = out + v * m
+    return out
+
+
+def reference_antipode(x: UqElement) -> UqElement:
+    """S(x), each term F^a K^b E^c as S(E)^c K^-b S(F)^a by UqElement
+    products, one generator at a time."""
+    se = -(UqElement.e() * UqElement.k(-1))
+    sf = -(UqElement.k() * UqElement.f())
+    out = UqElement.zero()
+    for (a, b, c), v in x.terms.items():
+        m = UqElement.one()
+        for _ in range(c):
+            m = m * se
+        m = m * UqElement.k(-b)
+        for _ in range(a):
+            m = m * sf
+        out = out + v * m
+    return out

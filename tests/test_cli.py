@@ -307,7 +307,7 @@ def test_uq_center_all_checks_small(tmp_path):
 
 
 # sha256 of the artifact of the three `uq center` commands of the
-# benchmark's uq-center workload
+# benchmark's uq-center workload, and of two larger ones
 UQ_CENTER_ARTIFACTS = {
     (1, "all"):
         "4eea4820a0b0679e2f0bb06dcaacbfd96d106d69d3e89f9f8d79e7fbf06b4180",
@@ -315,6 +315,11 @@ UQ_CENTER_ARTIFACTS = {
         "0c506024462d4b1186e4ee9a9886bbdf2918eee2d7c337054b933b9d821929ab",
     (3, "central,component"):
         "eb8da196c8cc1b88bcb55d12cb343ecd6de18d8b76b9888bfae1556e86b4abb9",
+    # beyond the workload
+    (4, "all"):
+        "1eea3a29ce126a2395d48040c6b912327918a3a19e9468d58eaf34760b2cc5be",
+    (5, "component"):
+        "1e5397f2ae6a33fb783ce7885123ea4e1323398ef397a168c370b4e1582a2998",
 }
 
 

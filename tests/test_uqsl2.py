@@ -13,7 +13,10 @@ Independent oracles used here:
   scalar  sum_t q^((m+1)(n-2t)),  computed here directly from the weight
   pairing without touching the braiding pipeline;
 * the weight test of module simplicity is checked against a dense solve
-  for the joint commutant of the generator matrices, blind to weights.
+  for the joint commutant of the generator matrices, blind to weights;
+* the per-monomial coproduct and antipode are checked against the
+  generator-by-generator loops of `tests/_modules.py`, and ad E and ad F
+  against their commutator formulas.
 """
 
 import hashlib
@@ -22,7 +25,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _modules import reference_antipode, reference_delta
 from peterweyl.errors import PreconditionError, VariantError
 from peterweyl.exact.linalg import Matrix, Subspace, nullspace, solve_linear
 from peterweyl.exact.scalars import (
@@ -36,6 +42,8 @@ from peterweyl.uqsl2 import (
     UqElement,
     UqTensor,
     _ad_round,
+    _antipode_monomial,
+    _delta_monomial,
     _intertwines,
     _weights_force_scalars,
     adjoint,
@@ -197,6 +205,54 @@ def test_delta_is_multiplicative():
 def test_antipode_squared_is_k_conjugation():
     for x in (E, FF, K, E * FF * K):
         assert x.antipode().antipode() == K * x * KINV
+
+
+_LAURENT = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+_QV = st.builds(lambda num, den, s: RatFun(num, den) * qpow(s),
+                _LAURENT, _LAURENT.filter(any), st.integers(-2, 2))
+_PBW = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 4)),
+    _QV, min_size=1, max_size=3).map(UqElement)
+
+
+@settings(max_examples=20)
+@given(st.lists(_PBW, min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_memoized_coproduct_and_antipode_match_the_generator_loops(elems, rng):
+    # a lone monomial with coefficient 1 is where a memo would hand out its
+    # own image
+    elems = elems + [UqElement.monomial(*key)
+                     for x in elems for key in x.terms]
+    refs = {"delta": reference_delta, "antipode": reference_antipode}
+    expected = {(i, op): refs[op](x)
+                for i, x in enumerate(elems) for op in refs}
+    calls = list(expected) * 2
+    rng.shuffle(calls)
+    _delta_monomial.cache_clear()
+    _antipode_monomial.cache_clear()
+    for i, op in calls:
+        if rng.random() < 0.2:
+            _delta_monomial.cache_clear()
+            _antipode_monomial.cache_clear()
+        first, second = getattr(elems[i], op)(), getattr(elems[i], op)()
+        assert first == second == expected[i, op]
+        # emptying both results leaves the memo and every later result whole
+        first.terms.clear()
+        second.terms.clear()
+        assert getattr(elems[i], op)() == expected[i, op]
+
+
+def test_memo_rejects_negative_exponents_and_caches_no_failure():
+    for memo in (_delta_monomial, _antipode_monomial):
+        memo.cache_clear()
+        for key in ((-1, 0, 0), (0, 2, -1), (-2, -1, -3), (-1, 0, 0)):
+            with pytest.raises(PreconditionError):
+                memo(*key)
+        assert memo.cache_info().currsize == 0
+        memo(1, -1, 2)
+        assert memo.cache_info().currsize == 1
+    with pytest.raises(PreconditionError):
+        UqElement.monomial(0, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +674,41 @@ def test_adjoint_is_an_action():
         assert adjoint(x, adjoint(y, z)) == adjoint(x * y, z)
 
 
+@settings(max_examples=20)
+@given(_PBW)
+def test_adjoint_matches_the_commutator_formulas(y):
+    # ad E y = (E y - y E) K^-1 and ad F y = F y - K^-1 y K F, and the sum
+    # over the generator-loop coproduct and antipode gives the same
+    def through_reference(g):
+        out = UqElement.zero()
+        for (m1, m2), cf in reference_delta(g).terms.items():
+            s2 = reference_antipode(UqElement.monomial(*m2))
+            out = out + cf * (UqElement.monomial(*m1) * y * s2)
+        return out
+    assert adjoint(E, y) == (E * y - y * E) * KINV == through_reference(E)
+    assert (adjoint(FF, y) == FF * y - KINV * y * K * FF
+            == through_reference(FF))
+
+
+def test_transferred_coefficients_match_the_module_entries():
+    # the reference reads gamma off the whole matrix of F^k E^l
+    for n in range(5):
+        mod, coeffs = module(n), theta(n).coeffs
+        for i in range(n + 1):
+            for j in range(n + 1):
+                mi, mj = mod.weights[i], mod.weights[j]
+                expected = UqElement.zero()
+                for l in range(max(0, i - j), i + 1):
+                    k = l - (i - j)
+                    gamma = mod.act(UqElement.monomial(k, 0, l))[j, i]
+                    cf = (coeffs[k] * coeffs[l] * gamma * qpow(-mi)
+                          * qpow(-k * (mi + 2 * l)))
+                    expected = expected + UqElement.monomial(
+                        0, (mi + mj) // 2 + l, k, cf) * UqElement.monomial(
+                        l, 0, 0)
+                assert transferred_coefficient(n, i, j) == expected
+
+
 def test_transferred_corner_is_a_unit_k_power():
     for n in range(4):
         corner = transferred_coefficient(n, 0, 0)
@@ -637,6 +728,18 @@ def test_joseph_component_check():
         assert report["ad_orbit_dimension"] == (n + 1) ** 2
         assert report["spans_component"]
         assert report["central_element_inside"]
+
+
+def test_joseph_component_reports_are_pinned():
+    for n in range(6):
+        assert joseph_component_check(n) == {
+            "n": n,
+            "highest_to_lowest_unit": True,
+            "ad_orbit_dimension": (n + 1) ** 2,
+            "expected_dimension": (n + 1) ** 2,
+            "spans_component": True,
+            "central_element_inside": True,
+        }
 
 
 def _three_generator_round(basis):
