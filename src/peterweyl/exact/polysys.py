@@ -19,6 +19,7 @@ A cap can therefore never turn into a false claim in either direction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from ..errors import DimensionError
 from .scalars import Cyclotomic, Frozen, RatFun, Terms, as_scalar, collect
@@ -162,53 +163,102 @@ class Poly(Terms):
         return " + ".join(bits)
 
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
-def _mono_mul_poly(mono, coef, p: Poly) -> Poly:
-    return Poly(p.nvars, {
-        tuple(a + b for a, b in zip(mono, m)): coef * c
-        for m, c in p.terms.items()})
+# what _normal_form's work dict gives for a monomial not yet on its heap
+_UNSEEN = object()
+
+
+def _normal_form(work, leads) -> dict:
+    """Reduce work, a dict {monomial: coefficient}, in place by the divisors
+    leads, a list of (leading monomial, leading coefficient, terms); a
+    leading coefficient None stands for 1.
+
+    A heap pops the largest live monomial in degrevlex order.  The first
+    divisor in list order whose leading monomial divides it has its other
+    terms, scaled, subtracted straight into work; its leading term would
+    cancel exactly, so it is never formed.  A sum that reaches zero stays
+    in work as None, so every monomial is pushed once.  A monomial no
+    divisor divides goes to the remainder, which is returned in
+    descending order.
+    """
+    # imported here: its extension module would add 0.1 MB to the peak
+    # memory of every command that never reduces a polynomial
+    import heapq
+
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
+    remainder = {}
+    while heap:
+        mono = pop(heap)[2]
+        coef = work.pop(mono)
+        if coef is None:
+            continue
+        for lm, lc, terms in leads:
+            if all(map(le, lm, mono)):
+                break
+        else:
+            remainder[mono] = coef
+            continue
+        # every monomial subtracted is below mono, so mono never returns
+        q = coef if lc is None else coef / lc
+        shift = tuple(map(sub, mono, lm))
+        for m, c in terms.items():
+            if m == lm:
+                continue
+            m = tuple(map(add, m, shift))
+            t = q * c
+            s = get(m, _UNSEEN)
+            if s is _UNSEEN:
+                work[m] = -t
+                push(heap, (-sum(m), m[::-1], m))
+            elif s is None:
+                work[m] = -t
+            else:
+                work[m] = (s - t) or None
+    return remainder
 
 
 def reduce_poly(f: Poly, basis) -> Poly:
-    """Full normal form of f modulo the list basis (deterministic order)."""
+    """Full normal form of f modulo the list basis (deterministic order).
+
+    Every divisor, zero ones included, must have f's variable count.
+    """
+    if any(g.nvars != f.nvars for g in basis):
+        raise DimensionError("variable count mismatch")
     if not basis:
         return f
-    remainder = {}
-    work = Poly(f.nvars, f.terms)
-    leads = [(*g.leading(), g) for g in basis if g]
-    while work:
-        mono, coef = work.leading()
-        hit = None
-        for lm, lc, g in leads:
-            if _mono_divides(lm, mono):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            remainder[mono] = coef
-            work = work - Poly(work.nvars, {mono: coef})
-        else:
-            lm, lc, g = hit
-            work = work - _mono_mul_poly(_mono_div(mono, lm), coef / lc, g)
-    return Poly(f.nvars, remainder)
+    leads = [(*g.leading(), g.terms) for g in basis if g]
+    return Poly(f.nvars, _normal_form(dict(f.terms), leads))
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    mf, cf = f.leading()
-    mg, cg = g.leading()
-    L = _mono_lcm(mf, mg)
-    return (_mono_mul_poly(_mono_div(L, mf), 1 / cf, f)
-            - _mono_mul_poly(_mono_div(L, mg), 1 / cg, g))
+def _spoly_terms(gi, gj) -> dict:
+    """The S-polynomial of two monic divisors (leading monomial, None,
+    terms) as a dict; the leading terms cancel and are never formed."""
+    mi, _, ti = gi
+    mj, _, tj = gj
+    lcm = _mono_lcm(mi, mj)
+    si, sj = tuple(map(sub, lcm, mi)), tuple(map(sub, lcm, mj))
+    work = {tuple(map(add, m, si)): c for m, c in ti.items() if m != mi}
+    get = work.get
+    for m, c in tj.items():
+        if m != mj:
+            m = tuple(map(add, m, sj))
+            s = get(m)
+            work[m] = -c if s is None else (s - c) or None
+    return work
+
+
+def _monic(nvars, terms, lc) -> Poly:
+    # scaling by a rational 1 would change no coefficient; an extension's 1
+    # still lifts rational coefficients into its field
+    if type(lc) is Fraction and lc == 1:
+        return Poly(nvars, terms)
+    s = 1 / lc
+    return Poly(nvars, {m: c * s for m, c in terms.items()})
 
 
 class GroebnerResult(Frozen):
@@ -262,48 +312,56 @@ def buchberger(polys, degree_cap: int | None = None,
         elif p.nvars != nvars:
             raise DimensionError("variable count mismatch")
         if p:
-            basis.append(p * (1 / p.leading()[1]))
+            basis.append(p)
     if not basis:
         return GroebnerResult("basis", [], 0)
     one = (0,) * nvars
-    for g in basis:
-        if g.leading()[0] == one:
-            return GroebnerResult("proved_infeasible",
-                                  [Poly.constant(nvars, 1)], 0)
-    # imported here: its extension module would add 0.1 MB to the peak
-    # memory of every command that never runs a completion
-    import heapq
+    if any(p.leading()[0] == one for p in basis):
+        return GroebnerResult("proved_infeasible",
+                              [Poly.constant(nvars, 1)], 0)
+    import heapq  # imported here, as in _normal_form
 
+    # the divisors (leading monomial, None, terms), one per basis element,
+    # read by every S-polynomial and normal form.  Their leading
+    # coefficients are 1, so a quotient needs no division: a monic element
+    # with an extension's 1 has all its coefficients in that field, which
+    # the quotient's product with them reaches anyway
+    leads = []
+    for k, p in enumerate(basis):
+        lead, lc = p.leading()
+        basis[k] = g = _monic(nvars, p.terms, lc)
+        leads.append((lead, None, g.terms))
     # deterministic normal selection: smallest lcm degree first, then
     # the pair (i, j) with i > j; a basis element's leading monomial never
     # changes, so each pair's key is fixed when its second element joins
-    leads = [g.leading()[0] for g in basis]
-    pairs = [(sum(_mono_lcm(leads[i], leads[j])), i, j)
+    pairs = [(sum(_mono_lcm(leads[i][0], leads[j][0])), i, j)
              for i in range(len(basis)) for j in range(i)]
     heapq.heapify(pairs)
     steps = 0
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        mi, mj = leads[i], leads[j]
-        if _mono_lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
+        mi, mj = leads[i][0], leads[j][0]
+        if _mono_lcm(mi, mj) == tuple(map(add, mi, mj)):
             continue  # coprime leading monomials reduce to zero
         steps += 1
         if step_cap is not None and steps > step_cap:
             return GroebnerResult("unknown", basis, steps)
-        r = reduce_poly(_spoly(basis[i], basis[j]), basis)
+        r = _normal_form(_spoly_terms(leads[i], leads[j]), leads)
         if not r:
             continue
-        if r.leading()[0] == one:
+        # the remainder comes out in descending order, its lead first
+        lead = next(iter(r))
+        if lead == one:
             return GroebnerResult("proved_infeasible",
                                   [Poly.constant(nvars, 1)], steps)
-        if degree_cap is not None and r.total_degree() > degree_cap:
+        g = _monic(nvars, r, r[lead])
+        if degree_cap is not None and g.total_degree() > degree_cap:
             return GroebnerResult("unknown", basis, steps)
-        r = r * (1 / r.leading()[1])
         k = len(basis)
-        basis.append(r)
-        leads.append(r.leading()[0])
+        basis.append(g)
+        leads.append((lead, None, g.terms))
         for t in range(k):
-            heapq.heappush(pairs, (sum(_mono_lcm(leads[k], leads[t])), k, t))
+            heapq.heappush(pairs, (sum(_mono_lcm(lead, leads[t][0])), k, t))
     return GroebnerResult("basis", _interreduce(basis), steps)
 
 

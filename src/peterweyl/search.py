@@ -537,23 +537,10 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
                  "degree_cap must be a positive integer")
         _require(isinstance(step_cap, int) and step_cap > 0,
                  "step_cap must be a positive integer")
-        basis = a_basis(group)
-        system = assemble_constraints(group)
-        d = len(basis)
-        log = []
-        if group.order <= 4:
-            polys = [_lift_poly(p, d + 1) for p in system.polys]
-            det = _symbolic_transfer_determinant(group, basis)
-            tvar = Poly.variable(d, d + 1)
-            polys.append(tvar * _lift_poly(det, d + 1) - 1)
-            log.append("bijectivity encoded through t*det - 1")
-        else:
-            polys = list(system.polys)
-            log.append("bijectivity left as a side condition "
-                       "(determinant too large)")
+        polys, encoding = _groebner_polys(group)
         result = buchberger(polys, degree_cap=degree_cap, step_cap=step_cap)
-        log.append("completion status: %s after %d steps"
-                   % (result.status, result.steps))
+        log = [encoding, "completion status: %s after %d steps"
+               % (result.status, result.steps)]
         if result.status == "proved_infeasible":
             return SearchOutcome(
                 "ProvedInfeasible", certificate={"status": result.status,
@@ -562,6 +549,22 @@ def search(group: Group, strategy: str, *, candidate=None, count=None,
         return SearchOutcome("NoneFoundBounded", log=log)
 
     raise StrategyError("unknown strategy %r" % strategy)
+
+
+def _groebner_polys(group: Group):
+    """The polynomials the groebner strategy completes, and the log line
+    saying how bijectivity enters them."""
+    basis = a_basis(group)
+    system = assemble_constraints(group)
+    if group.order > 4:
+        return (list(system.polys),
+                "bijectivity left as a side condition (determinant too large)")
+    d = len(basis)
+    polys = [_lift_poly(p, d + 1) for p in system.polys]
+    det = _symbolic_transfer_determinant(group, basis)
+    tvar = Poly.variable(d, d + 1)
+    polys.append(tvar * _lift_poly(det, d + 1) - 1)
+    return polys, "bijectivity encoded through t*det - 1"
 
 
 def _lift_poly(p: Poly, nvars: int) -> Poly:

@@ -24,6 +24,9 @@ draw, the oracle for the blocks and the filter modulo a prime of
 `search.search`.  `reference_delta` and `reference_antipode` extend the
 generator images one factor at a time for every term, the oracle for the
 per-monomial memo behind `UqElement.delta` and `UqElement.antipode`.
+`reference_reduce_poly` and `reference_spoly` build a new polynomial at
+every step of a division, the oracle for the in-place normal form of
+`exact.polysys.reduce_poly` and `exact.polysys.buchberger`.
 """
 
 import itertools
@@ -34,7 +37,7 @@ import numpy as np
 
 from peterweyl.errors import InternalError, PreconditionError
 from peterweyl.exact.linalg import Infeasible, Matrix, nullspace, solve_linear
-from peterweyl.exact.polysys import Poly, PolySystem
+from peterweyl.exact.polysys import Poly, PolySystem, _degrevlex_key
 from peterweyl.groups import Group
 from peterweyl.hopf import (
     AlgebraElement,
@@ -405,3 +408,47 @@ def reference_antipode(x: UqElement) -> UqElement:
             m = m * sf
         out = out + v * m
     return out
+
+
+def _lead(p: Poly):
+    mono = max(p.terms, key=_degrevlex_key)
+    return mono, p.terms[mono]
+
+
+def _shifted(mono, coef, p: Poly) -> Poly:
+    """coef * x^mono * p."""
+    return Poly(p.nvars, {
+        tuple(a + b for a, b in zip(mono, m)): coef * c
+        for m, c in p.terms.items()})
+
+
+def reference_reduce_poly(f: Poly, basis) -> Poly:
+    """Full normal form of f modulo the list basis: at each step the largest
+    monomial of the work polynomial is divided by the first divisor, in
+    basis order, whose leading monomial divides it, and a new polynomial
+    is built; a monomial no divisor divides goes to the remainder."""
+    if not basis:
+        return f
+    remainder = {}
+    work = Poly(f.nvars, f.terms)
+    leads = [(*_lead(g), g) for g in basis if g]
+    while work:
+        mono, coef = _lead(work)
+        for lm, lc, g in leads:
+            if all(x <= y for x, y in zip(lm, mono)):
+                shift = tuple(x - y for x, y in zip(mono, lm))
+                work = work - _shifted(shift, coef / lc, g)
+                break
+        else:
+            remainder[mono] = coef
+            work = work - Poly(work.nvars, {mono: coef})
+    return Poly(f.nvars, remainder)
+
+
+def reference_spoly(f: Poly, g: Poly) -> Poly:
+    """The S-polynomial of f and g, each scaled to a monic leading term."""
+    mf, cf = _lead(f)
+    mg, cg = _lead(g)
+    lcm = tuple(max(x, y) for x, y in zip(mf, mg))
+    return (_shifted(tuple(x - y for x, y in zip(lcm, mf)), 1 / cf, f)
+            - _shifted(tuple(x - y for x, y in zip(lcm, mg)), 1 / cg, g))

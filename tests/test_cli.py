@@ -233,13 +233,16 @@ def test_search_dihedral_finds_nothing(tmp_path):
     assert doc["outcome"]["survivors"] == 0
 
 
-@pytest.mark.parametrize("token, encoding", [
-    ("Z2xZ2", "bijectivity encoded through t*det - 1"),
-    ("S3", "bijectivity left as a side condition (determinant too large)"),
+# the two capped completions of the benchmark's search workload: the log
+# line on bijectivity, and the sha256 of the artifact
+@pytest.mark.parametrize("token, encoding, digest", [
+    ("Z2xZ2", "bijectivity encoded through t*det - 1",
+     "0c0a2803c8aad50fc6e764aa17307c0a75ad2711508d5950ff22e8ffadc3a286"),
+    ("S3", "bijectivity left as a side condition (determinant too large)",
+     "dee2eeb2025f08f2b1ebdb5d88ea385ed6306aa9ecc13ab464d80bf74acaace3"),
 ], ids=["Z2xZ2", "S3"])
 def test_capped_groebner_search_stops_at_its_step_cap(tmp_path, token,
-                                                      encoding):
-    # the two capped completions of the benchmark's search workload
+                                                      encoding, digest):
     out = tmp_path / "g.json"
     code = main(["search", "--group", token, "--strategy", "groebner",
                  "--degree-cap", "2", "--step-cap", "20", "--out", str(out)])
@@ -248,6 +251,7 @@ def test_capped_groebner_search_stops_at_its_step_cap(tmp_path, token,
     assert outcome["verdict"] == "NoneFoundBounded"
     assert outcome["log"] == [encoding,
                               "completion status: unknown after 21 steps"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # sha256 of the artifact of `search --strategy random --seed 1` for the

@@ -1,8 +1,7 @@
 """Smoke test for the walkthrough scripts in demos/.
 
 Each script runs in a fresh interpreter with the package on its path; it
-must exit 0 and print something.  search_walkthrough.py is left out: it
-takes about 15 s.
+must exit 0 and print something.
 """
 
 import os
@@ -13,7 +12,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ("block_decomposition_walkthrough.py", "exact_kernel_walkthrough.py",
-         "quantum_center_walkthrough.py", "s3_family_walkthrough.py")
+         "quantum_center_walkthrough.py", "s3_family_walkthrough.py",
+         "search_walkthrough.py")
 
 
 @pytest.mark.parametrize("script", DEMOS)

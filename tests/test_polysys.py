@@ -1,6 +1,8 @@
 """Polynomial system tests: ordering, reduction, Buchberger, point filters."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,16 +16,16 @@ from peterweyl.exact.polysys import (
     Poly,
     PolySystem,
     _degrevlex_key,
-    _interreduce,
     _mono_lcm,
-    _spoly,
     buchberger,
     reduce_poly,
 )
-from peterweyl.groups import symmetric
-from peterweyl.search import assemble_constraints
+from peterweyl.exact.scalars import Cyclotomic, scalar_to_str
+from peterweyl.groups import parse_group
+from peterweyl.search import _groebner_polys
 
 from _gen import rand_frac
+from _modules import reference_reduce_poly, reference_spoly
 
 
 def F(a, b=1):
@@ -173,6 +175,74 @@ def test_reduce_poly_is_idempotent_and_linear():
         assert reduce_poly(p + q, basis) == reduce_poly(rp + rq, basis)
 
 
+def test_reduce_poly_rejects_divisors_in_another_variable_count():
+    x, y = xvar(0, 2), xvar(1, 2)
+    t = xvar(0, 1)
+    # no division happens in the first case, and in the last the divisor
+    # is zero; each still mixes polynomials of two variable counts
+    for f, basis in ((y, [t + 1]), (x * y, [t]), (x, [x + y, t]),
+                     (x, [Poly(1)])):
+        with pytest.raises(DimensionError, match="variable count mismatch"):
+            reduce_poly(f, basis)
+
+
+@st.composite
+def _coefficients(draw, n):
+    """A nonzero rational, or for n = 3 or 4 also an element of Q(zeta_n)
+    with a small common denominator."""
+    if n is not None and not draw(st.integers(0, 3)):
+        # a rational value held in the field, such as a leading 1
+        return Cyclotomic.of(n, draw(st.sampled_from([1, -1, 2])))
+    den = draw(st.integers(1, 3))
+    if n is None or draw(st.booleans()):
+        return Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), den)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=n)
+                  .filter(any))
+    return Cyclotomic(n, [Fraction(c, den) for c in coeffs])
+
+
+@st.composite
+def _field_polys(draw, nvars, n, min_terms=0, max_terms=4):
+    mono = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    terms = draw(st.lists(st.tuples(mono.map(tuple), _coefficients(n)),
+                          min_size=min_terms, max_size=max_terms,
+                          unique_by=lambda t: t[0]))
+    return Poly(nvars, terms)
+
+
+@st.composite
+def _divisions(draw):
+    """(f, divisors) over Q, Q(zeta_3) or Q(zeta_4): the divisors need not
+    be monic, may be zero and rarely form a Groebner basis, and f may be
+    zero or already reduced."""
+    nvars = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([None, 3, 4]))
+    basis = draw(st.lists(_field_polys(nvars, n, max_terms=3),
+                          min_size=1, max_size=4))
+    f = draw(_field_polys(nvars, n, max_terms=4))
+    # multiples of the divisors make long divisions likely
+    for g in basis:
+        if draw(st.booleans()):
+            f = f + g * draw(_field_polys(nvars, n, min_terms=1,
+                                          max_terms=2))
+    if not draw(st.integers(0, 3)):
+        f = reference_reduce_poly(f, basis)
+    return f, basis
+
+
+def _terms(p):
+    """The terms of p in order, each coefficient as its canonical string,
+    which tells a rational apart from the same value in Q(zeta_n)."""
+    return [(m, scalar_to_str(c)) for m, c in p.terms.items()]
+
+
+@given(_divisions())
+def test_reduce_poly_matches_the_reference_division(case):
+    f, basis = case
+    assert _terms(reduce_poly(f, basis)) == _terms(
+        reference_reduce_poly(f, basis))
+
+
 # ---------------------------------------------------------------------------
 # Buchberger completion: a worked example with membership certificates
 # ---------------------------------------------------------------------------
@@ -286,10 +356,33 @@ def _lead_uncached(p):
     return mono, p.terms[mono]
 
 
+def _oracle_interreduce(basis):
+    """The reduced basis by the reference division: each element is reduced
+    by the others until none changes, made monic, and sorted."""
+    out = [g * (1 / _lead_uncached(g)[1]) for g in basis]
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(out):
+            rest = out[:i] + out[i + 1:]
+            r = reference_reduce_poly(g, rest) if rest else g
+            if r != g:
+                changed = True
+                if r:
+                    out[i] = r * (1 / _lead_uncached(r)[1])
+                else:
+                    out.pop(i)
+                    break
+    out.sort(key=lambda g: (_degrevlex_key(_lead_uncached(g)[0]),
+                            sorted(g.terms.items())))
+    return out
+
+
 def _oracle_buchberger(polys, degree_cap=None, step_cap=None):
     """(status, basis, steps) of the completion as it selected pairs before
     the heap: a min over the set of pending pairs by (lcm degree, (i, j)),
-    with every leading term recomputed where it is read."""
+    with every leading term recomputed where it is read, and every
+    S-polynomial and normal form built by the reference division."""
     basis = [p * (1 / _lead_uncached(p)[1]) for p in polys if p]
     if not basis:
         return "basis", (), 0
@@ -310,18 +403,18 @@ def _oracle_buchberger(polys, degree_cap=None, step_cap=None):
             continue
         steps += 1
         if step_cap is not None and steps > step_cap:
-            return "unknown", tuple(_interreduce(basis)), steps
-        r = reduce_poly(_spoly(basis[i], basis[j]), basis)
+            return "unknown", tuple(basis), steps
+        r = reference_reduce_poly(reference_spoly(basis[i], basis[j]), basis)
         if not r:
             continue
         if _lead_uncached(r)[0] == one:
             return "proved_infeasible", (Poly.constant(nvars, 1),), steps
         if degree_cap is not None and r.total_degree() > degree_cap:
-            return "unknown", tuple(_interreduce(basis)), steps
+            return "unknown", tuple(basis), steps
         basis.append(r * (1 / _lead_uncached(r)[1]))
         k = len(basis) - 1
         pairs.update((k, t) for t in range(k))
-    return "basis", tuple(_interreduce(basis)), steps
+    return "basis", tuple(_oracle_interreduce(basis)), steps
 
 
 @st.composite
@@ -335,13 +428,11 @@ def _small_systems(draw):
 
 
 def _assert_matches_oracle(res, oracle):
-    """The oracle interreduces a capped basis; buchberger returns it as is."""
+    """Status, steps and basis agree, each basis polynomial term by term in
+    order; a capped basis is compared as returned, not interreduced."""
     status, basis, steps = oracle
     assert (res.status, res.steps) == (status, steps)
-    if status == "unknown":
-        assert tuple(_interreduce(res.basis)) == basis
-    else:
-        assert res.basis == basis
+    assert [_terms(g) for g in res.basis] == [_terms(g) for g in basis]
 
 
 @given(_small_systems())
@@ -352,14 +443,67 @@ def test_buchberger_matches_the_pair_scan_oracle(system):
         polys, degree_cap=degree_cap, step_cap=step_cap))
 
 
-def test_buchberger_matches_the_oracle_on_the_s3_system():
-    # the caps of the benchmark's capped S3 search (its 21st step hits
-    # the step cap)
-    polys = assemble_constraints(symmetric(3)).polys
+@st.composite
+def _cyclotomic_systems(draw):
+    n = draw(st.sampled_from([3, 4]))
+    polys = draw(st.lists(_field_polys(2, n, max_terms=3), min_size=2,
+                          max_size=3))
+    degree_cap = draw(st.one_of(st.none(), st.integers(1, 3)))
+    step_cap = draw(st.integers(0, 4))
+    return polys, degree_cap, step_cap
+
+
+@given(_cyclotomic_systems())
+def test_buchberger_matches_the_oracle_over_cyclotomic_fields(system):
+    # coefficients mix rationals, elements of Q(zeta_n) and rationals
+    # held in Q(zeta_n); the comparison tells those apart
+    polys, degree_cap, step_cap = system
+    res = buchberger(polys, degree_cap=degree_cap, step_cap=step_cap)
+    _assert_matches_oracle(res, _oracle_buchberger(
+        polys, degree_cap=degree_cap, step_cap=step_cap))
+
+
+def _assert_capped_search_matches_oracle(token):
+    # the caps of the benchmark's capped searches (the 21st step hits the
+    # step cap)
+    polys, _ = _groebner_polys(parse_group(token))
     res = buchberger(polys, degree_cap=2, step_cap=20)
     assert (res.status, res.steps) == ("unknown", 21)
     _assert_matches_oracle(res, _oracle_buchberger(
         polys, degree_cap=2, step_cap=20))
+
+
+def test_buchberger_matches_the_oracle_on_the_s3_system():
+    _assert_capped_search_matches_oracle("S3")
+
+
+def test_buchberger_matches_the_oracle_on_the_z3_system():
+    # the system of the groebner strategy on Z3, over Q(zeta_3); no
+    # benchmark workload completes it
+    _assert_capped_search_matches_oracle("Z3")
+
+
+# sha256 of the whole GroebnerResult (status, steps and each basis
+# polynomial's terms in order) of the groebner strategy's systems at
+# --degree-cap 2 --step-cap 20: the two capped searches of the benchmark's
+# search workload, and Z3's system over Q(zeta_3)
+CAPPED_COMPLETIONS = {
+    "Z2xZ2":
+        "b62ff37236d6ee59fac8d12bb33ddc0a735d61bcfd2c519564c824fff8357904",
+    "S3": "1be09b31be4d544979bceb84ce438720374cb23d04224d50c1aac060e2f67a49",
+    "Z3": "5929c0f16527bf77b20ad4e226fff0927b501c28219078d1e9dcf91c470c9a5d",
+}
+
+
+@pytest.mark.parametrize("token", list(CAPPED_COMPLETIONS))
+def test_capped_completions_are_pinned(token):
+    polys, _ = _groebner_polys(parse_group(token))
+    res = buchberger(polys, degree_cap=2, step_cap=20)
+    doc = [res.status, res.steps,
+           [[[list(m), scalar_to_str(c)] for m, c in g.terms.items()]
+            for g in res.basis]]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == CAPPED_COMPLETIONS[token]
 
 
 # ---------------------------------------------------------------------------
